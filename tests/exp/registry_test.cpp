@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <stdexcept>
 
+#include "exp/manifest.hpp"
 #include "exp/spec.hpp"
 #include "rate/policy_registry.hpp"
 
@@ -25,7 +29,32 @@ TEST(RegistryTest, BuiltInScenariosAreRegistered) {
   EXPECT_FALSE(ScenarioRegistry::instance().contains("ballroom"));
 }
 
+/// FNV-1a over a manifest row's cells (comma-joined), as 16 hex digits.
+std::string row_digest(const std::vector<std::string>& cells) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string cell = (i == 0 ? "" : ",") + cells[i];
+    for (const char c : cell) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
 TEST(RegistryTest, EveryRegisteredNameRunsATinyConfig) {
+  // Pinned manifest rows (timing excluded): any change to a scenario's
+  // setup, draw order, merge or reduction shows up here byte-for-byte.
+  const std::map<std::string, std::string> expected = {
+      {"cell", "e1d7c778d042062a"},
+      {"hidden-terminal", "b9545f06a726ebec"},
+      {"ietf-day", "26fa713d127dbfe1"},
+      {"ietf-day-churn", "0cbbcef2c03b3e06"},
+      {"ietf-plenary", "ec98bddfd91590b9"},
+      {"ietf-plenary-churn", "4f21564f33bd51a9"},
+  };
   for (const std::string& name : ScenarioRegistry::instance().names()) {
     ExperimentSpec spec;
     spec.scenario = name;
@@ -39,6 +68,9 @@ TEST(RegistryTest, EveryRegisteredNameRunsATinyConfig) {
     const RunOutput out = ScenarioRegistry::instance().run(name, runs[0]);
     EXPECT_GT(out.analysis.seconds.size(), 0u) << name;
     EXPECT_GT(out.analysis.total_frames, 0u) << name;
+    EXPECT_EQ(row_digest(manifest_row(make_record(runs[0], out, 0.0), false)),
+              expected.at(name))
+        << name;
   }
 }
 
