@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
 
   // Venue-wide statistics use the merged capture (AP ranking, user counts,
   // unrecorded estimation are cross-channel quantities).
-  const trace::Trace merged = scenario.network().merged_trace();
+  const trace::Trace merged =
+      trace::merge_sniffer_traces(scenario.network().sniffer_traces()).trace;
 
   const auto aps = core::ap_activity(merged);
   std::printf("\nTop APs by frames (Fig 4a):\n");

@@ -57,6 +57,30 @@ cmp build/smoke/fig06.csv build/smoke_shards/fig06.csv
 cmp build/smoke/fig06_metrics.csv build/smoke_shards/fig06_metrics.csv
 echo "smoke: OK (2-shard outputs byte-identical)"
 
+# Hidden-terminal registry path: one thread vs two threads x two shards must
+# write the same manifest (wall_ms, the last column, stripped) and the same
+# counters.  5 s leaves 2 analyzed seconds after the default 3 s warmup, so
+# the capture-derived columns are not all zero.
+echo "smoke: hidden-terminal at --threads 1 vs --threads 2 --shards 2"
+./build/example_run_experiment hidden-terminal --threads 1 --seeds 1 \
+    --duration 5 --quiet --out-dir build/smoke_hidden_1 > /dev/null
+./build/example_run_experiment hidden-terminal --threads 2 --shards 2 \
+    --seeds 1 --duration 5 --quiet --out-dir build/smoke_hidden_2 > /dev/null
+for d in build/smoke_hidden_1 build/smoke_hidden_2; do
+    sed 's/,[^,]*$//' "$d/example_hidden-terminal_manifest.csv" \
+        > "$d/manifest_stable.csv"
+done
+cmp build/smoke_hidden_1/manifest_stable.csv build/smoke_hidden_2/manifest_stable.csv
+cmp build/smoke_hidden_1/example_hidden-terminal_metrics.csv \
+    build/smoke_hidden_2/example_hidden-terminal_metrics.csv
+frames=$(tail -n +2 build/smoke_hidden_1/manifest_stable.csv | cut -d, -f16 \
+    | sort -n | tail -n 1)
+if [ "${frames:-0}" -le 0 ]; then
+    echo "smoke: FAIL — hidden-terminal manifest has no captured frames" >&2
+    exit 1
+fi
+echo "smoke: OK (hidden-terminal manifests byte-identical)"
+
 # Observability smoke: the per-run metrics snapshot and the --trace-out
 # span dump must both be well-formed JSON; the trace must hold one complete
 # ("ph":"X") event per run.  In a -DWLAN_OBS=OFF build the trace file is

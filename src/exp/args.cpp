@@ -159,7 +159,7 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
 
 void apply_args(const BenchArgs& args, ExperimentSpec& spec) {
   if (args.seeds > 0) spec.seeds_per_point = args.seeds;
-  if (args.shards > 0) spec.shards = args.shards;
+  if (args.shards > 0) spec.base.shards = args.shards;
   if (args.duration_s > 0.0) spec.duration_s = args.duration_s;
   if (!args.churn_rates.empty()) spec.churn_rates = args.churn_rates;
   if (!args.rate_policies.empty()) spec.rate_policies = args.rate_policies;

@@ -15,7 +15,7 @@ namespace wlan::exp {
 
 struct BenchArgs {
   int threads = 0;          ///< 0 = all hardware threads
-  int shards = 0;           ///< 0 = keep the spec's default (1)
+  int shards = 0;           ///< 0 = keep the spec's base.shards
   int seeds = 0;            ///< 0 = keep the spec's default
   double duration_s = 0.0;  ///< 0 = keep the spec's default
   std::string out_dir = ".";

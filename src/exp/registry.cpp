@@ -9,17 +9,28 @@ namespace wlan::exp {
 
 namespace {
 
-/// Shared CellResult -> RunOutput reduction.
-RunOutput reduce_cell_result(const workload::CellResult& result) {
+/// The reduction every scenario shares: capture analysis, the §4.4
+/// unrecorded estimate on the capture, and the simulator's delay
+/// histograms.  Ground-truth counters stay 0 (sessions report none).
+RunOutput reduce(const trace::Trace& capture,
+                 const util::LogHistogram& queue_delay,
+                 const util::LogHistogram& service_delay) {
   RunOutput out;
-  out.analysis = core::TraceAnalyzer{}.analyze(result.trace);
-  out.unrecorded = core::estimate_unrecorded(result.trace).totals;
+  out.analysis = core::TraceAnalyzer{}.analyze(capture);
+  out.unrecorded = core::estimate_unrecorded(capture).totals;
+  out.queue_delay = queue_delay;
+  out.service_delay = service_delay;
+  return out;
+}
+
+/// Cell fixtures also report medium and sniffer ground truth.
+RunOutput reduce_cell_result(const workload::CellResult& result) {
+  RunOutput out =
+      reduce(result.trace, result.queue_delay, result.service_delay);
   out.medium_transmissions = result.medium_transmissions;
   out.medium_collisions = result.medium_collisions;
   out.sniffer_offered = result.sniffer.offered;
   out.sniffer_captured = result.sniffer.captured;
-  out.queue_delay = result.queue_delay;
-  out.service_delay = result.service_delay;
   return out;
 }
 
@@ -44,6 +55,7 @@ RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
 RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
                                bool churn = false) {
   workload::ScenarioConfig cfg;
+  static_cast<sim::EngineOptions&>(cfg) = run.cell;
   cfg.seed = run.seed;
   cfg.duration_s = run.cell.duration_s;
   cfg.scale = run.load.users / 100.0;
@@ -52,20 +64,12 @@ RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
   cfg.rtscts_fraction = run.rtscts_fraction;
   cfg.rate = run.cell.rate;
   cfg.timing = run.cell.timing;
-  cfg.scalar_reception = run.cell.scalar_reception;
-  cfg.shards = run.cell.shards;
-  cfg.single_queue = run.cell.single_queue;
   if (churn) {
     cfg.churn_turnover_per_min = run.churn_rate > 0.0 ? run.churn_rate : 1.0;
   }
 
   const workload::SessionResult result = workload::run_session(cfg, kind);
-  RunOutput out;
-  out.analysis = core::TraceAnalyzer{}.analyze(result.trace);
-  out.unrecorded = core::estimate_unrecorded(result.trace).totals;
-  out.queue_delay = result.queue_delay;
-  out.service_delay = result.service_delay;
-  return out;
+  return reduce(result.trace, result.queue_delay, result.service_delay);
 }
 
 }  // namespace

@@ -112,7 +112,6 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
                 run.cell = spec.base;
                 run.cell.seed = run.seed;
                 run.cell.duration_s = spec.duration_s;
-                run.cell.shards = spec.shards;
                 run.cell.rtscts_fraction = rtscts;
                 run.cell.rate.policy = policy;
                 run.cell.timing = parse_timing(timing);

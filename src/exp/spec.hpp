@@ -44,11 +44,6 @@ struct ExperimentSpec {
   std::uint64_t base_seed = 1;
   int seeds_per_point = 1;
   double duration_s = 18.0;
-  /// Worker threads for each run's per-channel shard phases (see
-  /// sim::NetworkConfig::shards).  Like RunnerOptions::threads — and
-  /// composing with it — this is an execution knob, not a treatment: output
-  /// is byte-identical for any value, and it stays out of the manifest.
-  int shards = 1;
 
   // --- grid axes (every axis must be non-empty) -------------------------
   std::vector<LoadPoint> loads = {LoadPoint{}};
@@ -67,8 +62,11 @@ struct ExperimentSpec {
   std::vector<double> churn_rates = {0.0};
 
   /// Everything not on an axis (traffic profile, geometry, sniffer
-  /// capacity, ...).  Axis values, duration_s and seed are overwritten per
-  /// run during expansion.
+  /// capacity, the sim::EngineOptions knobs, ...).  Axis values, duration_s
+  /// and seed are overwritten per run during expansion.  The engine knobs
+  /// (--shards sets base.shards) are execution choices, not treatments:
+  /// output is byte-identical for any value and they stay out of the
+  /// manifest.
   workload::CellConfig base;
 };
 

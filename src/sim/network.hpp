@@ -7,7 +7,7 @@
 // roams, departures, population ticks — run on a separate *control* queue
 // owned by the driver.  Network::run_for alternates parallel shard phases
 // with serial control events under a watermark protocol that reproduces the
-// single-queue execution order exactly; `NetworkConfig::shards` is purely a
+// single-queue execution order exactly; `EngineOptions::shards` is purely a
 // worker-thread count and never changes any output byte.
 #pragma once
 
@@ -32,7 +32,30 @@
 
 namespace wlan::sim {
 
-struct NetworkConfig {
+/// The engine knobs: how a run executes, never what it produces — every
+/// value yields byte-identical output.  Declared once here; NetworkConfig
+/// and the workload configs inherit it, so the knobs keep their spelling
+/// at every layer and pass down as one slice assignment.
+struct EngineOptions {
+  /// Run every channel on the scalar per-receiver reception path instead of
+  /// the batched SoA engine.  Output is byte-identical either way (the
+  /// differential oracle suite pins it); this is the knob that suite — and
+  /// anyone bisecting a suspected hot-path bug — flips.
+  bool scalar_reception = false;
+  /// Worker threads for the parallel shard phases.  Purely a thread count:
+  /// every queue, counter and output byte is identical for any value
+  /// (clamped to [1, channels.size()]; 1 runs the phases inline on the
+  /// caller's thread with no thread machinery at all).
+  int shards = 1;
+  /// Alias every Channel onto the one control Simulator instead of giving
+  /// each its own shard queue — byte-for-byte the pre-sharding engine, one
+  /// totally-ordered queue.  Retained as the reference half of the
+  /// sharded-vs-single-queue differential oracle (the sharding analogue of
+  /// `scalar_reception`); not a performance mode.
+  bool single_queue = false;
+};
+
+struct NetworkConfig : EngineOptions {
   phy::PropagationConfig propagation;
   mac::TimingProfile timing_profile = mac::TimingProfile::kPaper;
   std::uint64_t seed = 1;
@@ -53,22 +76,6 @@ struct NetworkConfig {
   /// against ~15 dBm PCMCIA radios), which keeps the ACK/beacon return
   /// path alive toward fringe clients.
   double ap_power_offset_db = 5.0;
-  /// Run every channel on the scalar per-receiver reception path instead of
-  /// the batched SoA engine.  Output is byte-identical either way (the
-  /// differential oracle suite pins it); this is the knob that suite — and
-  /// anyone bisecting a suspected hot-path bug — flips.
-  bool scalar_reception = false;
-  /// Worker threads for the parallel shard phases.  Purely a thread count:
-  /// every queue, counter and output byte is identical for any value
-  /// (clamped to [1, channels.size()]; 1 runs the phases inline on the
-  /// caller's thread with no thread machinery at all).
-  int shards = 1;
-  /// Alias every Channel onto the one control Simulator instead of giving
-  /// each its own shard queue — byte-for-byte the pre-sharding engine, one
-  /// totally-ordered queue.  Retained as the reference half of the
-  /// sharded-vs-single-queue differential oracle (the sharding analogue of
-  /// `scalar_reception`); not a performance mode.
-  bool single_queue = false;
 };
 
 class Network {
@@ -128,7 +135,6 @@ class Network {
   void run_for(Microseconds duration);
 
   [[nodiscard]] std::vector<trace::Trace> sniffer_traces() const;
-  [[nodiscard]] trace::Trace merged_trace() const;
   [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
     return ground_truth_;
   }

@@ -76,11 +76,6 @@ struct Trace {
 /// Stable sort by timestamp (sniffer merge produces near-sorted input).
 void sort_by_time(std::vector<CaptureRecord>& records);
 
-/// Merges multiple sniffer captures into one time-sorted trace, dropping
-/// duplicate observations of the same frame (paper: three sniffers, one per
-/// channel — when channels overlap, the same frame may be heard twice).
-Trace merge_traces(const std::vector<Trace>& traces);
-
 /// Builds a CaptureRecord from a frame as heard by a sniffer.
 CaptureRecord record_from_frame(const mac::Frame& frame, Microseconds at,
                                 float snr_db, std::uint8_t sniffer_id);

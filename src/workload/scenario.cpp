@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "obs/trace_span.hpp"
 
@@ -41,10 +42,124 @@ sim::NetworkConfig network_config(const ScenarioConfig& cfg,
       kind == SessionKind::kPlenary ? 3.8 : 3.0;
   net.propagation.shadowing_sigma_db =
       kind == SessionKind::kPlenary ? 6.0 : 4.0;
-  net.scalar_reception = cfg.scalar_reception;
-  net.shards = cfg.shards;
-  net.single_queue = cfg.single_queue;
+  static_cast<sim::EngineOptions&>(net) = cfg;
   return net;
+}
+
+/// Places a cell fixture's APs on the network.
+using ApPlacer = std::function<void(sim::Network&)>;
+/// Draws user `i`'s position (and carrier-sense mask) from the fixture RNG.
+using UserDraw = std::function<void(int i, util::Rng&, UserSpec&)>;
+
+/// The single-channel fixture behind run_cell and run_hidden_terminal:
+/// network, sniffer fan-out, user sessions, run, and harvest.  Callers
+/// supply only what differs — the RNG salt, the AP placement, and each
+/// user's position draw, which precedes the shared join / RTS / session
+/// seed draws so every fixture's draw order is fixed.
+CellResult run_cell_fixture(const CellConfig& config, std::uint64_t rng_salt,
+                            const char* span_name, const ApPlacer& place_aps,
+                            const UserDraw& draw_user) {
+  sim::NetworkConfig net_cfg;
+  static_cast<sim::EngineOptions&>(net_cfg) = config;
+  net_cfg.seed = config.seed;
+  net_cfg.timing_profile = config.timing;
+  net_cfg.channels = {config.channel};
+  net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
+  net_cfg.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
+
+  sim::Network net(net_cfg);
+  util::Rng rng(config.seed ^ rng_salt);
+  place_aps(net);
+
+  // Sniffer 0 keeps the historic center spot (and, for the single-sniffer
+  // fixture, the historic default-seed path, so existing runs reproduce
+  // byte-for-byte).  Extras fan out along the diagonal with skewed clocks,
+  // which the merge must recover from beacon anchors.
+  const int num_sniffers = std::max(1, config.num_sniffers);
+  std::vector<sim::Sniffer*> sniffers;
+  for (int j = 0; j < num_sniffers; ++j) {
+    sim::SnifferConfig sniff;
+    const double mid = config.room_m / 2;
+    const double step = 0.15 * config.room_m * ((j + 1) / 2);
+    const double sign = j % 2 == 1 ? -1.0 : 1.0;
+    sniff.position = {mid + sign * step, mid + sign * step, 0};
+    sniff.channel = config.channel;
+    sniff.capacity_fps = config.sniffer_capacity_fps;
+    if (num_sniffers > 1) {
+      sniff.seed = util::mix_seed(config.seed ^ 0x5A1FFULL,
+                                  static_cast<std::uint64_t>(j));
+      sniff.clock_offset_us = j * config.sniffer_clock_skew_us;
+    }
+    sniffers.push_back(&net.add_sniffer(sniff));
+  }
+
+  TrafficProfile profile = config.profile;
+  profile.mean_pps = config.per_user_pps;
+
+  std::vector<std::unique_ptr<UserSession>> sessions;
+  for (int i = 0; i < config.num_users; ++i) {
+    UserSpec spec;
+    draw_user(i, rng, spec);
+    // Stagger joins across the first second to avoid an association storm.
+    spec.join = Microseconds{static_cast<std::int64_t>(
+        rng.uniform_real(0.0, 1.0) * 1e6)};
+    spec.profile = profile;
+    spec.use_rtscts = rng.chance(config.rtscts_fraction);
+    spec.rate = config.rate;
+    spec.auto_power_margin_db = config.auto_power_margin_db;
+    sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
+  }
+
+  {
+    obs::Span span(span_name);
+    net.run_for(
+        Microseconds{static_cast<std::int64_t>(config.duration_s * 1e6)});
+  }
+  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
+
+  CellResult result;
+  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
+  if (num_sniffers == 1) {
+    // Single-sniffer fast path: filter the warmup out of the raw capture,
+    // then time-sort once (stable, so identical to sort-then-filter without
+    // the intermediate full-trace copy).
+    const auto& recs = sniffers[0]->records();
+    result.trace.records.reserve(recs.size());
+    for (const auto& r : recs) {
+      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
+    }
+    trace::sort_by_time(result.trace.records);
+  } else {
+    // The paper's pipeline: per-sniffer captures -> beacon-anchored clock
+    // correction -> deduplicated k-way merge.  The merged timeline is in
+    // sniffer 0's clock, which has zero offset here, so the warmup trim
+    // below stays exact.
+    std::vector<trace::Trace> raw;
+    raw.reserve(sniffers.size());
+    for (const sim::Sniffer* s : sniffers) raw.push_back(s->trace());
+    trace::MergeResult merged = trace::merge_sniffer_traces(raw);
+    result.sniffer_traces = std::move(raw);
+    result.clock_offsets = std::move(merged.offsets);
+    result.merge_stats = merged.stats;
+    result.trace.records.reserve(merged.trace.records.size());
+    for (const auto& r : merged.trace.records) {
+      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
+    }
+  }
+  result.trace.start_us = warmup_us;
+  result.trace.end_us =
+      static_cast<std::int64_t>(config.duration_s * 1e6);
+  result.ground_truth.reserve(net.ground_truth().size());
+  for (const auto& r : net.ground_truth()) {
+    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
+  }
+  result.medium_transmissions = net.channel(config.channel).transmissions();
+  result.medium_collisions = net.channel(config.channel).collisions();
+  result.sniffer = sniffers[0]->stats();
+  result.duration_s = config.duration_s - config.warmup_s;
+  net.harvest_delays(result.queue_delay, result.service_delay);
+  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
+  return result;
 }
 
 }  // namespace
@@ -174,11 +289,6 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
     scenario.run();
   }
   harvest_scenario_metrics(scenario);
-  // Merge the way the paper did — clock alignment + windowed dedup on the
-  // capture alone — rather than via simulator frame ids no real sniffer
-  // has.  With one sniffer per channel (the IETF deployment) the two
-  // merges agree record-for-record; this path stays honest if a floor plan
-  // ever doubles up sniffers on a channel.
   obs::Span merge_span("session: merge " + scenario.name(), "merge");
   trace::MergeResult merged =
       trace::merge_sniffer_traces(scenario.network().sniffer_traces());
@@ -189,57 +299,16 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
 }
 
 CellResult run_cell(const CellConfig& config) {
-  sim::NetworkConfig net_cfg;
-  net_cfg.seed = config.seed;
-  net_cfg.timing_profile = config.timing;
-  net_cfg.channels = {config.channel};
-  net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
-  net_cfg.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
-  net_cfg.scalar_reception = config.scalar_reception;
-  net_cfg.shards = config.shards;
-  net_cfg.single_queue = config.single_queue;
-
-  sim::Network net(net_cfg);
-  util::Rng rng(config.seed ^ 0xCE11ULL);
-
   // APs along the cell diagonal, all VAPs on the one channel.
-  std::vector<sim::AccessPoint*> aps;
-  for (int i = 0; i < config.num_aps; ++i) {
-    const double frac = (i + 1.0) / (config.num_aps + 1.0);
-    auto& ap = net.add_ap({config.room_m * frac, config.room_m * frac, 0},
-                          config.channel);
-    ap.start_beacons();
-    aps.push_back(&ap);
-  }
-
-  // Sniffer 0 keeps the historic center spot (and, for the single-sniffer
-  // fixture, the historic default-seed path, so existing runs reproduce
-  // byte-for-byte).  Extras fan out along the AP diagonal with skewed
-  // clocks, which the merge must recover from beacon anchors.
-  const int num_sniffers = std::max(1, config.num_sniffers);
-  std::vector<sim::Sniffer*> sniffers;
-  for (int j = 0; j < num_sniffers; ++j) {
-    sim::SnifferConfig sniff;
-    const double mid = config.room_m / 2;
-    const double step = 0.15 * config.room_m * ((j + 1) / 2);
-    const double sign = j % 2 == 1 ? -1.0 : 1.0;
-    sniff.position = {mid + sign * step, mid + sign * step, 0};
-    sniff.channel = config.channel;
-    sniff.capacity_fps = config.sniffer_capacity_fps;
-    if (num_sniffers > 1) {
-      sniff.seed = util::mix_seed(config.seed ^ 0x5A1FFULL,
-                                  static_cast<std::uint64_t>(j));
-      sniff.clock_offset_us = j * config.sniffer_clock_skew_us;
+  const auto place_aps = [&config](sim::Network& net) {
+    for (int i = 0; i < config.num_aps; ++i) {
+      const double frac = (i + 1.0) / (config.num_aps + 1.0);
+      net.add_ap({config.room_m * frac, config.room_m * frac, 0},
+                 config.channel)
+          .start_beacons();
     }
-    sniffers.push_back(&net.add_sniffer(sniff));
-  }
-
-  TrafficProfile profile = config.profile;
-  profile.mean_pps = config.per_user_pps;
-
-  std::vector<std::unique_ptr<UserSession>> sessions;
-  for (int i = 0; i < config.num_users; ++i) {
-    UserSpec spec;
+  };
+  const auto draw_user = [&config](int, util::Rng& rng, UserSpec& spec) {
     if (rng.chance(config.far_fraction)) {
       // Weak-link zone: the two corners orthogonal to the AP diagonal, well
       // away from every AP, where rate adaptation genuinely lands on the
@@ -258,145 +327,30 @@ CellResult run_cell(const CellConfig& config) {
       spec.position = {ap.x + rng.uniform_real(-12.0, 12.0),
                        ap.y + rng.uniform_real(-12.0, 12.0), 0};
     }
-    // Stagger joins across the first second to avoid an association storm.
-    spec.join = Microseconds{static_cast<std::int64_t>(
-        rng.uniform_real(0.0, 1.0) * 1e6)};
-    spec.profile = profile;
-    spec.use_rtscts = rng.chance(config.rtscts_fraction);
-    spec.rate = config.rate;
-    spec.auto_power_margin_db = config.auto_power_margin_db;
-    sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
-  }
-
-  {
-    obs::Span span("cell: run");
-    net.run_for(
-        Microseconds{static_cast<std::int64_t>(config.duration_s * 1e6)});
-  }
-  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
-
-  CellResult result;
-  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
-  if (num_sniffers == 1) {
-    // Single-sniffer fast path: filter the warmup out of the raw capture,
-    // then time-sort once (stable, so identical to sort-then-filter without
-    // the intermediate full-trace copy).
-    const auto& recs = sniffers[0]->records();
-    result.trace.records.reserve(recs.size());
-    for (const auto& r : recs) {
-      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-    }
-    trace::sort_by_time(result.trace.records);
-  } else {
-    // The paper's pipeline: per-sniffer captures -> beacon-anchored clock
-    // correction -> deduplicated k-way merge.  The merged timeline is in
-    // sniffer 0's clock, which has zero offset here, so the warmup trim
-    // below stays exact.
-    std::vector<trace::Trace> raw;
-    raw.reserve(sniffers.size());
-    for (const sim::Sniffer* s : sniffers) raw.push_back(s->trace());
-    trace::MergeResult merged = trace::merge_sniffer_traces(raw);
-    result.sniffer_traces = std::move(raw);
-    result.clock_offsets = std::move(merged.offsets);
-    result.merge_stats = merged.stats;
-    result.trace.records.reserve(merged.trace.records.size());
-    for (const auto& r : merged.trace.records) {
-      if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-    }
-  }
-  result.trace.start_us = warmup_us;
-  result.trace.end_us =
-      static_cast<std::int64_t>(config.duration_s * 1e6);
-  result.ground_truth.reserve(net.ground_truth().size());
-  for (const auto& r : net.ground_truth()) {
-    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
-  }
-  result.medium_transmissions = net.channel(config.channel).transmissions();
-  result.medium_collisions = net.channel(config.channel).collisions();
-  result.sniffer = sniffers[0]->stats();
-  result.duration_s = config.duration_s - config.warmup_s;
-  net.harvest_delays(result.queue_delay, result.service_delay);
-  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
-  return result;
+  };
+  return run_cell_fixture(config, 0xCE11ULL, "cell: run", place_aps,
+                          draw_user);
 }
 
 CellResult run_hidden_terminal(const CellConfig& config) {
-  sim::NetworkConfig net_cfg;
-  net_cfg.seed = config.seed;
-  net_cfg.timing_profile = config.timing;
-  net_cfg.channels = {config.channel};
-  net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
-  net_cfg.propagation.shadowing_sigma_db = config.shadowing_sigma_db;
-  net_cfg.scalar_reception = config.scalar_reception;
-  net_cfg.shards = config.shards;
-  net_cfg.single_queue = config.single_queue;
-
-  sim::Network net(net_cfg);
-  util::Rng rng(config.seed ^ 0x41DDE4ULL);
-
   // One AP in the middle; its carrier sense spans both wings.
   const double mid = config.room_m / 2;
-  auto& ap = net.add_ap({mid, mid, 0}, config.channel, 4, 0b11u);
-  ap.start_beacons();
-
-  sim::SnifferConfig sniff;
-  sniff.position = {mid, mid, 0};
-  sniff.channel = config.channel;
-  sniff.capacity_fps = config.sniffer_capacity_fps;
-  sim::Sniffer& sniffer = net.add_sniffer(sniff);
-
-  TrafficProfile profile = config.profile;
-  profile.mean_pps = config.per_user_pps;
-
+  const auto place_aps = [&config, mid](sim::Network& net) {
+    net.add_ap({mid, mid, 0}, config.channel, 4, 0b11u).start_beacons();
+  };
   // Two wings along the diagonal, each well inside the AP's range but
   // shadowed from the other (masks 0b01 / 0b10 make that structural rather
   // than a fragile function of the propagation draw).  Alternating
   // assignment keeps the split deterministic and balanced.
-  std::vector<std::unique_ptr<UserSession>> sessions;
-  for (int i = 0; i < config.num_users; ++i) {
+  const auto draw_user = [&config](int i, util::Rng& rng, UserSpec& spec) {
     const bool east = i % 2 == 0;
     const double cx = east ? 0.75 * config.room_m : 0.25 * config.room_m;
-    UserSpec spec;
     spec.position = {cx + rng.uniform_real(-5.0, 5.0),
                      cx + rng.uniform_real(-5.0, 5.0), 0};
     spec.sense_mask = east ? 0b01u : 0b10u;
-    spec.join = Microseconds{static_cast<std::int64_t>(
-        rng.uniform_real(0.0, 1.0) * 1e6)};
-    spec.profile = profile;
-    spec.use_rtscts = rng.chance(config.rtscts_fraction);
-    spec.rate = config.rate;
-    spec.auto_power_margin_db = config.auto_power_margin_db;
-    sessions.push_back(std::make_unique<UserSession>(net, spec, rng.next()));
-  }
-
-  {
-    obs::Span span("hidden-terminal: run");
-    net.run_for(
-        Microseconds{static_cast<std::int64_t>(config.duration_s * 1e6)});
-  }
-  if (obs::Metrics* m = obs::current()) net.harvest_metrics(*m);
-
-  CellResult result;
-  const auto warmup_us = static_cast<std::int64_t>(config.warmup_s * 1e6);
-  const auto& recs = sniffer.records();
-  result.trace.records.reserve(recs.size());
-  for (const auto& r : recs) {
-    if (r.time_us >= warmup_us) result.trace.records.push_back(r);
-  }
-  trace::sort_by_time(result.trace.records);
-  result.trace.start_us = warmup_us;
-  result.trace.end_us = static_cast<std::int64_t>(config.duration_s * 1e6);
-  result.ground_truth.reserve(net.ground_truth().size());
-  for (const auto& r : net.ground_truth()) {
-    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
-  }
-  result.medium_transmissions = net.channel(config.channel).transmissions();
-  result.medium_collisions = net.channel(config.channel).collisions();
-  result.sniffer = sniffer.stats();
-  result.duration_s = config.duration_s - config.warmup_s;
-  net.harvest_delays(result.queue_delay, result.service_delay);
-  obs::count(obs::Id::kTraceRecords, result.trace.records.size());
-  return result;
+  };
+  return run_cell_fixture(config, 0x41DDE4ULL, "hidden-terminal: run",
+                          place_aps, draw_user);
 }
 
 }  // namespace wlan::workload

@@ -30,7 +30,9 @@ struct DataSetInfo {
   std::string time_range;
 };
 
-struct ScenarioConfig {
+/// Session configuration.  The inherited sim::EngineOptions (scalar
+/// reception, shards, single queue) pass straight through to the network.
+struct ScenarioConfig : sim::EngineOptions {
   std::uint64_t seed = 1;
   double duration_s = 180.0;
   /// Scales AP count and peak population relative to IETF62 (1.0 = 38
@@ -41,15 +43,6 @@ struct ScenarioConfig {
   double rtscts_fraction = 0.03;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
-  /// Use the channels' scalar reference reception path instead of the
-  /// batched engine (byte-identical output; see sim::NetworkConfig).
-  bool scalar_reception = false;
-  /// Worker threads for the per-channel shard phases (byte-identical output
-  /// for any value; see sim::NetworkConfig::shards).
-  int shards = 1;
-  /// Run every channel on the one control queue — the pre-sharding engine,
-  /// kept as the sharding oracle's reference (see sim::NetworkConfig).
-  bool single_queue = false;
 
   // --- population dynamics -------------------------------------------------
   /// > 0 switches the session from the classic fixed-curve UserManager to
@@ -121,8 +114,9 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind);
 /// Single-collision-domain fixture for utilization sweeps (Figures 6-15):
 /// one channel, a couple of APs, `num_users` always-on users.  Sweeping
 /// `num_users` (or per_user_pps) moves the cell across the whole 30-99%
-/// utilization range.
-struct CellConfig {
+/// utilization range.  The inherited sim::EngineOptions pass straight
+/// through to the network.
+struct CellConfig : sim::EngineOptions {
   std::uint64_t seed = 1;
   std::uint8_t channel = 6;
   int num_aps = 2;
@@ -132,15 +126,6 @@ struct CellConfig {
   double rtscts_fraction = 0.05;
   rate::ControllerConfig rate;
   mac::TimingProfile timing = mac::TimingProfile::kPaper;
-  /// Use the channels' scalar reference reception path instead of the
-  /// batched engine (byte-identical output; see sim::NetworkConfig).
-  bool scalar_reception = false;
-  /// Worker threads for the per-channel shard phases (byte-identical output
-  /// for any value; see sim::NetworkConfig::shards).
-  int shards = 1;
-  /// Run every channel on the one control queue — the pre-sharding engine,
-  /// kept as the sharding oracle's reference (see sim::NetworkConfig).
-  bool single_queue = false;
   double duration_s = 25.0;
   double warmup_s = 3.0;  ///< stripped from the returned trace
   /// Square cell side.  Large enough that edge users have marginal SNR and
@@ -198,8 +183,9 @@ CellResult run_cell(const CellConfig& config);
 /// so simultaneous uplinks collide at the AP exactly as the classic
 /// hidden-node experiment predicts.  `rtscts_fraction` is the remedy knob:
 /// at 1.0 the RTS/CTS exchange serialises the two sides through the AP's
-/// CTS.  All other CellConfig fields keep their run_cell meaning
-/// (num_aps/far_fraction are ignored).
+/// CTS.  Shares run_cell's fixture, so every other CellConfig field —
+/// sniffer fan-out and clock skew included — keeps its run_cell meaning;
+/// only num_aps/far_fraction are ignored.
 CellResult run_hidden_terminal(const CellConfig& config);
 
 }  // namespace wlan::workload

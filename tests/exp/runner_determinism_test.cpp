@@ -324,7 +324,7 @@ TEST(RunnerDeterminismTest, EnablingTracingChangesNoOutputByte) {
 }
 
 // Intra-run channel sharding obeys the same contract as the runner's own
-// thread pool: ExperimentSpec::shards (the --shards flag) is purely a
+// thread pool: the base cell's shards knob (the --shards flag) is purely a
 // worker-thread count for the per-channel shard phases inside each run, so
 // manifests, rendered figures, and every merged work counter must be
 // byte-identical for shards 1, 2 and 3.  (The sharded-vs-single-queue
@@ -332,7 +332,7 @@ TEST(RunnerDeterminismTest, EnablingTracingChangesNoOutputByte) {
 // test pins that the worker count never leaks into any output.)
 ExperimentResult run_with_shards(ExperimentSpec spec, int shards,
                                  const std::string& out_dir) {
-  spec.shards = shards;
+  spec.base.shards = shards;
   RunnerOptions opt;
   opt.threads = 2;
   opt.out_dir = out_dir;

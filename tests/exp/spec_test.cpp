@@ -107,6 +107,20 @@ TEST(SpecTest, AxisValuesResolveIntoTheCell) {
   }
 }
 
+TEST(SpecTest, EngineKnobsOnTheBaseReachEveryRun) {
+  // The engine knobs live on the base cell only (--shards sets
+  // base.shards); expansion must carry them to every run untouched.
+  auto spec = small_spec();
+  spec.base.shards = 3;
+  spec.base.scalar_reception = true;
+  spec.base.single_queue = true;
+  for (const auto& run : expand(spec)) {
+    EXPECT_EQ(run.cell.shards, 3);
+    EXPECT_TRUE(run.cell.scalar_reception);
+    EXPECT_TRUE(run.cell.single_queue);
+  }
+}
+
 TEST(SpecTest, BadSpecsThrow) {
   auto spec = small_spec();
   spec.loads.clear();

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "trace/merge.hpp"
+
 namespace wlan::sim {
 namespace {
 
@@ -97,7 +99,7 @@ TEST(NetworkTest, SniffersOnlyHearTheirChannel) {
   for (const auto& r : sniffer.records()) EXPECT_EQ(r.channel, 1);
 }
 
-TEST(NetworkTest, MergedTraceDedupsAcrossSniffers) {
+TEST(NetworkTest, SnifferMergeDedupsAcrossSniffers) {
   Network net(tri_channel(35));
   auto& ap = net.add_ap({5, 5, 0}, 1);
   // Two sniffers on the same channel hear the same frames.
@@ -121,8 +123,9 @@ TEST(NetworkTest, MergedTraceDedupsAcrossSniffers) {
 
   const auto traces = net.sniffer_traces();
   ASSERT_EQ(traces.size(), 2u);
-  const auto merged = net.merged_trace();
-  // Merged keeps each frame once: strictly fewer records than the sum.
+  // The capture merge keeps each frame once: strictly fewer records than
+  // the sum.
+  const auto merged = trace::merge_sniffer_traces(traces).trace;
   EXPECT_LT(merged.records.size(),
             traces[0].records.size() + traces[1].records.size());
   // And is time-sorted.
