@@ -90,6 +90,9 @@ class Channel {
 
   /// Ground-truth log (optional); one TxRecord per transmission.
   void set_ground_truth(std::vector<trace::TxRecord>* log) { ground_truth_ = log; }
+  [[nodiscard]] bool records_ground_truth() const {
+    return ground_truth_ != nullptr;
+  }
 
   /// Parallel end-of-air timestamps for the ground-truth log (optional):
   /// one entry per TxRecord, the sim time at which the record was appended.

@@ -12,13 +12,16 @@ Network::Network(const NetworkConfig& config)
       channel_numbers_(config.channels),
       ap_power_offset_db_(config.ap_power_offset_db),
       single_queue_(config.single_queue),
+      record_ground_truth_(config.record_ground_truth),
       shards_(config.shards < 1 ? 1 : config.shards) {
   const std::size_t n = channel_numbers_.size();
   channels_.reserve(n);
   // Sized up front: Channels keep raw pointers into these.
   frame_counters_.resize(n);
-  shard_ground_truth_.resize(n);
-  shard_ground_truth_end_.resize(n);
+  if (record_ground_truth_) {
+    shard_ground_truth_.resize(n);
+    shard_ground_truth_end_.resize(n);
+  }
   if (!single_queue_) {
     shard_sims_.reserve(n);
     shard_metrics_.resize(n);
@@ -32,8 +35,11 @@ Network::Network(const NetworkConfig& config)
     frame_counters_[i] = static_cast<std::uint64_t>(i) << 48;
     channels_.push_back(std::make_unique<Channel>(
         *sim, prop_, timing_, channel_numbers_[i], config.seed));
-    channels_.back()->set_ground_truth(&shard_ground_truth_[i]);
-    channels_.back()->set_ground_truth_end_times(&shard_ground_truth_end_[i]);
+    if (record_ground_truth_) {
+      channels_.back()->set_ground_truth(&shard_ground_truth_[i]);
+      channels_.back()->set_ground_truth_end_times(
+          &shard_ground_truth_end_[i]);
+    }
     channels_.back()->set_frame_counter(&frame_counters_[i]);
     channels_.back()->set_scalar_reception(config.scalar_reception);
   }
@@ -192,7 +198,7 @@ void Network::run_for(Microseconds duration) {
     run_shard_phase(until, nullptr);
     sim_.run_until(until);
   }
-  merge_ground_truth();
+  if (record_ground_truth_) merge_ground_truth();
 }
 
 void Network::run_one_shard(std::size_t i, Microseconds until,
@@ -299,6 +305,14 @@ void Network::merge_ground_truth() {
     shard_ground_truth_[i].clear();
     shard_ground_truth_end_[i].clear();
   }
+}
+
+const std::vector<trace::TxRecord>& Network::ground_truth() const {
+  if (!record_ground_truth_) {
+    throw std::logic_error(
+        "Network::ground_truth: NetworkConfig::record_ground_truth is off");
+  }
+  return ground_truth_;
 }
 
 std::vector<trace::Trace> Network::sniffer_traces() const {

@@ -76,6 +76,13 @@ struct NetworkConfig : EngineOptions {
   /// against ~15 dBm PCMCIA radios), which keeps the ACK/beacon return
   /// path alive toward fringe clients.
   double ap_power_offset_db = 5.0;
+  /// Record the omniscient per-transmission log (ground_truth()).  Off by
+  /// default: the analysis consumes only sniffer captures, and the log is
+  /// one record per transmission attempt, so only tests that validate the
+  /// estimators against it opt in.  Recording is out of band — captures and
+  /// counters are identical either way.  A NetworkConfig field, not an
+  /// EngineOption, because it changes what a run produces.
+  bool record_ground_truth = false;
 };
 
 class Network {
@@ -135,9 +142,10 @@ class Network {
   void run_for(Microseconds duration);
 
   [[nodiscard]] std::vector<trace::Trace> sniffer_traces() const;
-  [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const {
-    return ground_truth_;
-  }
+  /// The ground-truth log in end-of-air order.  Throws std::logic_error
+  /// unless NetworkConfig::record_ground_truth was set, so a test that
+  /// forgot to opt in fails loudly instead of passing on an empty log.
+  [[nodiscard]] const std::vector<trace::TxRecord>& ground_truth() const;
 
   [[nodiscard]] const std::vector<std::unique_ptr<AccessPoint>>& aps() const {
     return aps_;
@@ -185,7 +193,8 @@ class Network {
   void stop_workers();
   void worker_loop(std::size_t worker, std::size_t stride);
   /// Drains the per-channel ground-truth buffers into ground_truth_ in
-  /// (end-of-air time, channel order, per-channel position) order.
+  /// (end-of-air time, channel order, per-channel position) order.  Only
+  /// called when record_ground_truth_ is set.
   void merge_ground_truth();
 
   Simulator sim_;  ///< control lane (and the only queue in single_queue mode)
@@ -210,7 +219,8 @@ class Network {
   std::vector<std::unique_ptr<Sniffer>> sniffers_;
   std::vector<trace::TxRecord> ground_truth_;
   /// Per-channel ground-truth staging (records + end-of-air sort keys),
-  /// drained by merge_ground_truth at the end of every run_for.
+  /// drained by merge_ground_truth at the end of every run_for.  Empty and
+  /// unwired unless record_ground_truth_ is set.
   std::vector<std::vector<trace::TxRecord>> shard_ground_truth_;
   std::vector<std::vector<std::int64_t>> shard_ground_truth_end_;
   /// Watermarks: control-event local sequence -> each shard queue's
@@ -222,6 +232,7 @@ class Network {
   mac::Addr next_addr_ = 1;
   std::deque<mac::Addr> free_addrs_;  ///< released by remove_station
   bool single_queue_ = false;
+  bool record_ground_truth_ = false;
   int shards_ = 1;
   bool in_parallel_phase_ = false;
 

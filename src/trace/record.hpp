@@ -6,7 +6,8 @@
 // length; we model the RFMon + MAC portion the analysis actually uses).
 //
 // A TxRecord is simulator ground truth (one per transmission *attempt*) that
-// no real sniffer could produce; tests use it to validate the estimators.
+// no real sniffer could produce; tests opt in to it
+// (sim::NetworkConfig::record_ground_truth) to validate the estimators.
 //
 // Layer contract (trace): this layer is the boundary between producers
 // (sim sniffers, pcap/CSV readers) and consumers (core analyzers).  Both
@@ -23,6 +24,8 @@
 
 namespace wlan::trace {
 
+// Field order is for packing: sniffer_id sits in the byte after retry, which
+// makes the record 40 bytes rather than 48.
 struct CaptureRecord {
   std::int64_t time_us = 0;    ///< sniffer clock at frame start
   std::uint8_t channel = 1;
@@ -34,12 +37,16 @@ struct CaptureRecord {
   mac::Addr bssid = mac::kNoAddr;
   std::uint16_t seq = 0;
   bool retry = false;
-  std::uint32_t size_bytes = 0;  ///< total MAC bytes on air
   std::uint8_t sniffer_id = 0;
+  std::uint32_t size_bytes = 0;  ///< total MAC bytes on air
   /// Simulator frame id (0 for real captures).  Lets tests join captures
   /// against ground truth; the analysis layer never reads it.
   std::uint64_t frame_id = 0;
+
+  bool operator==(const CaptureRecord&) const = default;
 };
+static_assert(sizeof(CaptureRecord) == 40,
+              "one CaptureRecord is stored per captured frame: keep it packed");
 
 /// Outcome of one transmission attempt, from the simulator's omniscient view.
 enum class TxOutcome : std::uint8_t {

@@ -31,6 +31,8 @@ class LogHistogram {
     total_ += other.total_;
   }
 
+  bool operator==(const LogHistogram&) const = default;
+
   [[nodiscard]] std::uint64_t count() const { return total_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
 

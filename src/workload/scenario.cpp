@@ -62,6 +62,7 @@ CellResult run_cell_fixture(const CellConfig& config, std::uint64_t rng_salt,
   sim::NetworkConfig net_cfg;
   static_cast<sim::EngineOptions&>(net_cfg) = config;
   net_cfg.seed = config.seed;
+  net_cfg.record_ground_truth = config.record_ground_truth;
   net_cfg.timing_profile = config.timing;
   net_cfg.channels = {config.channel};
   net_cfg.propagation.path_loss_exponent = config.path_loss_exponent;
@@ -149,9 +150,11 @@ CellResult run_cell_fixture(const CellConfig& config, std::uint64_t rng_salt,
   result.trace.start_us = warmup_us;
   result.trace.end_us =
       static_cast<std::int64_t>(config.duration_s * 1e6);
-  result.ground_truth.reserve(net.ground_truth().size());
-  for (const auto& r : net.ground_truth()) {
-    if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
+  if (config.record_ground_truth) {
+    result.ground_truth.reserve(net.ground_truth().size());
+    for (const auto& r : net.ground_truth()) {
+      if (r.time_us >= warmup_us) result.ground_truth.push_back(r);
+    }
   }
   result.medium_transmissions = net.channel(config.channel).transmissions();
   result.medium_collisions = net.channel(config.channel).collisions();

@@ -152,11 +152,17 @@ struct CellConfig : sim::EngineOptions {
   /// Clock skew of sniffer j relative to sniffer 0 (the reference):
   /// j * sniffer_clock_skew_us.  Only applied when num_sniffers > 1.
   std::int64_t sniffer_clock_skew_us = 1500;
+  /// Fill CellResult::ground_truth (sim::NetworkConfig::record_ground_truth).
+  /// Off by default; tests that validate estimators against the omniscient
+  /// log opt in.  Every other CellResult field is identical either way.
+  bool record_ground_truth = false;
 };
 
 struct CellResult {
   trace::Trace trace;                        ///< sniffer view, warmup removed
-  std::vector<trace::TxRecord> ground_truth; ///< omniscient log
+  /// Omniscient log, warmup removed; empty unless
+  /// CellConfig::record_ground_truth.
+  std::vector<trace::TxRecord> ground_truth;
   std::uint64_t medium_transmissions = 0;
   std::uint64_t medium_collisions = 0;
   sim::SnifferStats sniffer;                 ///< sniffer 0's loss breakdown

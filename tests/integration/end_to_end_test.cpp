@@ -21,6 +21,7 @@ workload::CellConfig moderate_cell() {
   cell.warmup_s = 2.0;
   cell.profile.closed_loop = true;
   cell.profile.window = 1;
+  cell.record_ground_truth = true;
   return cell;
 }
 
@@ -73,6 +74,7 @@ TEST_F(EndToEnd, AckCountTracksDataCount) {
 }
 
 TEST_F(EndToEnd, SniffedCountsAgreeWithGroundTruthScale) {
+  ASSERT_FALSE(result_->ground_truth.empty());
   // The sniffer cannot capture more than was transmitted.
   EXPECT_LE(result_->trace.records.size(), result_->ground_truth.size());
   // ...and at moderate load captures the large majority.

@@ -13,6 +13,7 @@ namespace {
 NetworkConfig quiet(std::uint64_t seed) {
   NetworkConfig cfg;
   cfg.seed = seed;
+  cfg.record_ground_truth = true;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
   return cfg;

@@ -30,6 +30,7 @@ RunStats run_with_masks(std::uint32_t east_mask, std::uint32_t west_mask,
                         phy::Position west_pos = {0, 0, 0}) {
   NetworkConfig cfg;
   cfg.seed = 5;
+  cfg.record_ground_truth = true;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;  // deterministic links
   Network net(cfg);

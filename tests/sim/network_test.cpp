@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "trace/merge.hpp"
 
 namespace wlan::sim {
@@ -13,6 +14,7 @@ namespace {
 NetworkConfig tri_channel(std::uint64_t seed = 31) {
   NetworkConfig cfg;
   cfg.seed = seed;
+  cfg.record_ground_truth = true;
   cfg.propagation.shadowing_sigma_db = 0.0;
   return cfg;
 }
@@ -149,6 +151,98 @@ TEST(NetworkTest, GroundTruthSpansAllChannels) {
   EXPECT_TRUE(saw[0]);
   EXPECT_TRUE(saw[1]);
   EXPECT_TRUE(saw[2]);
+}
+
+struct BusyRun {
+  std::vector<trace::Trace> captures;
+  obs::Metrics metrics;
+  std::size_t ground_truth = 0;
+  bool wired = false;  ///< every channel had a ground-truth log attached
+};
+
+// Three busy channels, one sniffer each, over two run_for calls so the
+// per-run_for ground-truth merge runs more than once.  Each channel has a
+// near station and one ~100 m out whose frames fail at random, so the
+// channel's delivery draws shape the captures.
+BusyRun run_busy_channels(bool record_ground_truth) {
+  NetworkConfig cfg = tri_channel(43);
+  cfg.record_ground_truth = record_ground_truth;
+  Network net(cfg);
+  for (const std::uint8_t ch : net.channel_numbers()) {
+    auto& ap = net.add_ap({5, 5, 0}, ch);
+    ap.start_beacons();
+    SnifferConfig sniff;
+    sniff.position = {6, 6, 0};
+    sniff.channel = ch;
+    net.add_sniffer(sniff);
+    for (const double at : {8.0, 75.0}) {
+      StationConfig sc;
+      sc.position = {at, at, 0};
+      sc.seed = ch + static_cast<std::uint64_t>(at);
+      auto& sta = net.add_station(ch, sc);
+      for (int i = 0; i < 30; ++i) {
+        Packet p;
+        p.dst = ap.vap_addrs()[0];
+        p.payload = 600;
+        p.bssid = p.dst;
+        sta.enqueue(p);
+      }
+    }
+  }
+  BusyRun run;
+  {
+    obs::MetricsScope scope(run.metrics);
+    net.run_for(msec(400));
+    net.run_for(msec(400));
+  }
+  net.harvest_metrics(run.metrics);
+  run.captures = net.sniffer_traces();
+  run.wired = true;
+  for (const std::uint8_t ch : net.channel_numbers()) {
+    run.wired = run.wired && net.channel(ch).records_ground_truth();
+  }
+  if (record_ground_truth) run.ground_truth = net.ground_truth().size();
+  return run;
+}
+
+TEST(NetworkTest, GroundTruthIsOptIn) {
+  NetworkConfig cfg;
+  EXPECT_FALSE(cfg.record_ground_truth);
+  cfg.seed = 41;
+  Network net(cfg);
+  net.add_ap({1, 1, 0}, 1).start_beacons();
+  net.run_for(msec(300));
+  for (const std::uint8_t ch : net.channel_numbers()) {
+    EXPECT_FALSE(net.channel(ch).records_ground_truth());
+  }
+  EXPECT_THROW(static_cast<void>(net.ground_truth()), std::logic_error);
+}
+
+TEST(NetworkTest, GroundTruthHasOneRecordPerEndOfAir) {
+  const BusyRun run = run_busy_channels(true);
+  EXPECT_TRUE(run.wired);
+  ASSERT_GT(run.ground_truth, 0u);
+#if WLAN_OBS_ENABLED
+  EXPECT_EQ(run.ground_truth, run.metrics.value(obs::Id::kEndOfAirEvents));
+#endif
+}
+
+TEST(NetworkTest, GroundTruthRecordingIsOutOfBand) {
+  const BusyRun on = run_busy_channels(true);
+  const BusyRun off = run_busy_channels(false);
+  EXPECT_FALSE(off.wired);
+  ASSERT_EQ(on.captures.size(), 3u);
+  ASSERT_EQ(off.captures.size(), 3u);
+  for (std::size_t s = 0; s < on.captures.size(); ++s) {
+    ASSERT_FALSE(on.captures[s].records.empty());
+    EXPECT_TRUE(on.captures[s].records == off.captures[s].records)
+        << "sniffer " << s << " capture diverged";
+  }
+  for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+    const auto id = static_cast<obs::Id>(c);
+    EXPECT_EQ(on.metrics.value(id), off.metrics.value(id))
+        << "counter " << obs::name(id) << " diverged";
+  }
 }
 
 TEST(NetworkTest, DeterministicAcrossRuns) {

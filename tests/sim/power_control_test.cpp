@@ -11,6 +11,7 @@ namespace {
 NetworkConfig fringe_net(std::uint64_t seed = 71) {
   NetworkConfig cfg;
   cfg.seed = seed;
+  cfg.record_ground_truth = true;
   cfg.channels = {6};
   cfg.propagation.path_loss_exponent = 4.0;
   cfg.propagation.shadowing_sigma_db = 0.0;

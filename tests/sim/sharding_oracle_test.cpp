@@ -117,6 +117,7 @@ TEST(ShardingOracle, RandomizedCellsMatchSingleQueue) {
     cfg.num_sniffers = 1 + static_cast<int>(pick.uniform(3));
     cfg.duration_s = 8.0;
     cfg.warmup_s = 1.0;
+    cfg.record_ground_truth = true;  // compared on both arms
     SCOPED_TRACE("round " + std::to_string(round) + " seed " +
                  std::to_string(cfg.seed) + " users " +
                  std::to_string(cfg.num_users));

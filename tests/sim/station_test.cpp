@@ -12,6 +12,7 @@ namespace {
 NetworkConfig quiet_config(std::uint64_t seed = 21) {
   NetworkConfig cfg;
   cfg.seed = seed;
+  cfg.record_ground_truth = true;
   cfg.channels = {1};
   cfg.propagation.shadowing_sigma_db = 0.0;
   return cfg;

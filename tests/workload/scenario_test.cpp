@@ -2,8 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "obs/metrics.hpp"
+#include "trace/trace_io.hpp"
+
 namespace wlan::workload {
 namespace {
+
+// The figure pipeline consumes captures through trace::write_csv.
+std::string csv_bytes(const trace::Trace& trace) {
+  const std::string path = ::testing::TempDir() + "scenario_test_trace.csv";
+  trace::write_csv(trace, path);
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  return ss.str();
+}
 
 TEST(ScenarioTest, Table1MatchesPaper) {
   const auto rows = Scenario::table1();
@@ -58,6 +78,7 @@ TEST(RunCellTest, ProducesTraceAndGroundTruth) {
   cell.num_users = 8;
   cell.duration_s = 6.0;
   cell.warmup_s = 1.0;
+  cell.record_ground_truth = true;
   const auto result = run_cell(cell);
   EXPECT_GT(result.trace.records.size(), 50u);
   EXPECT_GT(result.ground_truth.size(), result.trace.records.size() / 2);
@@ -71,12 +92,69 @@ TEST(RunCellTest, WarmupStripped) {
   cell.num_users = 8;
   cell.duration_s = 6.0;
   cell.warmup_s = 2.0;
+  cell.record_ground_truth = true;
   const auto result = run_cell(cell);
   for (const auto& r : result.trace.records) {
     EXPECT_GE(r.time_us, 2'000'000);
   }
+  ASSERT_FALSE(result.ground_truth.empty());
   for (const auto& r : result.ground_truth) {
     EXPECT_GE(r.time_us, 2'000'000);
+  }
+}
+
+// Recording ground truth must not perturb the simulation: the multi-sniffer
+// fixture yields the same figure-facing bytes, counters and delay
+// histograms with the omniscient log on or off.
+TEST(RunCellTest, GroundTruthRecordingIsOutOfBand) {
+  CellConfig cell;
+  cell.seed = 29;
+  cell.num_users = 10;
+  cell.num_sniffers = 3;
+  cell.duration_s = 5.0;
+  cell.warmup_s = 1.0;
+  cell.record_ground_truth = true;
+  obs::Metrics m_on;
+  CellResult on;
+  {
+    obs::MetricsScope scope(m_on);
+    on = run_cell(cell);
+  }
+  cell.record_ground_truth = false;
+  obs::Metrics m_off;
+  CellResult off;
+  {
+    obs::MetricsScope scope(m_off);
+    off = run_cell(cell);
+  }
+
+  ASSERT_FALSE(on.ground_truth.empty());
+  EXPECT_TRUE(off.ground_truth.empty());
+  ASSERT_FALSE(on.trace.records.empty());
+  EXPECT_EQ(csv_bytes(on.trace), csv_bytes(off.trace));
+  ASSERT_EQ(on.sniffer_traces.size(), off.sniffer_traces.size());
+  for (std::size_t s = 0; s < on.sniffer_traces.size(); ++s) {
+    EXPECT_TRUE(on.sniffer_traces[s].records == off.sniffer_traces[s].records)
+        << "sniffer " << s;
+  }
+  EXPECT_EQ(on.medium_transmissions, off.medium_transmissions);
+  EXPECT_EQ(on.medium_collisions, off.medium_collisions);
+  EXPECT_EQ(on.sniffer.offered, off.sniffer.offered);
+  EXPECT_EQ(on.sniffer.captured, off.sniffer.captured);
+  EXPECT_EQ(on.sniffer.missed_range, off.sniffer.missed_range);
+  EXPECT_EQ(on.sniffer.missed_error, off.sniffer.missed_error);
+  EXPECT_EQ(on.sniffer.missed_overload, off.sniffer.missed_overload);
+  EXPECT_EQ(on.merge_stats.records_in, off.merge_stats.records_in);
+  EXPECT_EQ(on.merge_stats.duplicates_dropped,
+            off.merge_stats.duplicates_dropped);
+  EXPECT_EQ(on.merge_stats.emitted, off.merge_stats.emitted);
+  EXPECT_FALSE(on.queue_delay.empty());
+  EXPECT_TRUE(on.queue_delay == off.queue_delay);
+  EXPECT_TRUE(on.service_delay == off.service_delay);
+  for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+    const auto id = static_cast<obs::Id>(c);
+    EXPECT_EQ(m_on.value(id), m_off.value(id))
+        << "counter " << obs::name(id) << " diverged";
   }
 }
 
@@ -125,7 +203,9 @@ TEST(RunCellTest, FarFractionProducesLowRateTraffic) {
   cell.duration_s = 8.0;
   cell.profile.closed_loop = true;
   cell.profile.window = 2;
+  cell.record_ground_truth = true;
   const auto result = run_cell(cell);
+  ASSERT_FALSE(result.ground_truth.empty());
   std::uint64_t slow_data = 0;
   for (const auto& r : result.ground_truth) {
     if (r.type == mac::FrameType::kData &&

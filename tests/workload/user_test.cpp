@@ -12,6 +12,7 @@ namespace {
 sim::NetworkConfig small_net(std::uint64_t seed = 51) {
   sim::NetworkConfig cfg;
   cfg.seed = seed;
+  cfg.record_ground_truth = true;
   cfg.channels = {6};
   cfg.propagation.shadowing_sigma_db = 0.0;
   return cfg;
