@@ -185,7 +185,7 @@ AnalyzeOutcome analyze_streaming(const std::vector<std::string>& files,
   trace::TraceReader* source = inputs[0];
   if (inputs.size() > 1) {
     if (opt.merge.clock_correction) {
-      out.offsets = trace::estimate_clock_offsets(inputs, opt.merge.max_anchors);
+      out.offsets = trace::estimate_clock_offsets(inputs);
       for (auto* in : inputs) in->reset();
     } else {
       out.offsets.offset_us.assign(inputs.size(), 0);

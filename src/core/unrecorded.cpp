@@ -10,6 +10,14 @@ namespace wlan::core {
 
 namespace {
 
+/// Max DATA-end -> ACK gap, microseconds, for the pair to count as atomic
+/// (the DATA's own airtime at 1 Mbps is added per frame).
+constexpr std::int64_t kAckGapUs = 400;
+/// Max RTS-end -> CTS gap, microseconds.
+constexpr std::int64_t kCtsGapUs = 400;
+/// Max RTS -> DATA window, microseconds, for the missed-CTS rule.
+constexpr std::int64_t kRtsDataWindowUs = 3000;
+
 bool is_data_like(mac::FrameType t) {
   return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
          t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
@@ -17,8 +25,7 @@ bool is_data_like(mac::FrameType t) {
 
 }  // namespace
 
-UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
-                                     const UnrecordedConfig& cfg) {
+UnrecordedReport estimate_unrecorded(const trace::Trace& trace) {
   UnrecordedReport report;
   const auto& recs = trace.records;
   report.totals.captured = recs.size();
@@ -96,7 +103,7 @@ UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
           const trace::CaptureRecord& prev = recs[i - 1];
           matched = is_data_like(prev.type) && prev.src == r.dst &&
                     r.time_us - prev.time_us <=
-                        cfg.ack_gap.count() + 8LL * prev.size_bytes;
+                        kAckGapUs + 8LL * prev.size_bytes;
         }
         if (!matched) {
           ++report.totals.missed_data;
@@ -110,7 +117,7 @@ UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
         if (i > 0) {
           const trace::CaptureRecord& prev = recs[i - 1];
           matched = prev.type == mac::FrameType::kRts && prev.src == r.dst &&
-                    r.time_us - prev.time_us <= cfg.cts_gap.count();
+                    r.time_us - prev.time_us <= kCtsGapUs;
         }
         if (!matched) {
           ++report.totals.missed_rts;
@@ -134,7 +141,7 @@ UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
           const PendingRts* it = pending_rts.find(r.src);
           if (it != nullptr) {
             if (it->dst == r.dst &&
-                r.time_us - it->time_us <= cfg.rts_data_window.count()) {
+                r.time_us - it->time_us <= kRtsDataWindowUs) {
               if (!it->cts_seen) {
                 ++report.totals.missed_cts;
                 attribute(r.dst);  // the CTS sender is the DATA's receiver

@@ -14,18 +14,8 @@
 
 #include "mac/frame.hpp"
 #include "trace/record.hpp"
-#include "util/time.hpp"
 
 namespace wlan::core {
-
-struct UnrecordedConfig {
-  /// Max DATA-end -> ACK gap for the pair to count as atomic.
-  Microseconds ack_gap{400};
-  /// Max RTS-end -> CTS gap.
-  Microseconds cts_gap{400};
-  /// Max RTS -> DATA window for the missed-CTS rule.
-  Microseconds rts_data_window{3000};
-};
 
 struct UnrecordedTotals {
   std::uint64_t captured = 0;          ///< frames in the trace
@@ -62,7 +52,6 @@ struct UnrecordedReport {
 };
 
 /// Runs the estimators over a time-sorted trace.
-[[nodiscard]] UnrecordedReport estimate_unrecorded(const trace::Trace& trace,
-                                                   const UnrecordedConfig& cfg = {});
+[[nodiscard]] UnrecordedReport estimate_unrecorded(const trace::Trace& trace);
 
 }  // namespace wlan::core

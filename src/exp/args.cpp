@@ -1,9 +1,14 @@
 #include "exp/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "obs/trace_span.hpp"
 
@@ -49,6 +54,24 @@ void dump_trace_at_exit() {
   std::exit(code);
 }
 
+/// Parses `v` as one whole number token (long long or double): trailing
+/// junk and out-of-range values (ERANGE) yield nullopt instead of the
+/// silent truncation / undefined overflow of atoi and atof.
+template <typename T>
+std::optional<T> parse_whole(const char* v) {
+  static_assert(std::is_same_v<T, long long> || std::is_same_v<T, double>);
+  errno = 0;
+  char* end = nullptr;
+  T parsed{};
+  if constexpr (std::is_same_v<T, long long>) {
+    parsed = std::strtoll(v, &end, 10);
+  } else {
+    parsed = std::strtod(v, &end);
+  }
+  if (end == v || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return parsed;
+}
+
 }  // namespace
 
 BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
@@ -67,56 +90,54 @@ BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
       }
       return argv[++i];
     };
+    auto positive_int = [&]() {
+      const char* v = value();
+      const std::optional<long long> parsed = parse_whole<long long>(v);
+      if (!parsed || *parsed < 1 || *parsed > INT_MAX) {
+        std::fprintf(stderr, "%s wants a positive integer, got \"%s\"\n",
+                     flag.c_str(), v);
+        usage(what, 2);
+      }
+      return static_cast<int>(*parsed);
+    };
     if (flag == "--help" || flag == "-h") {
       usage(what, 0);
     } else if (flag == "--threads") {
-      args.threads = std::atoi(value());
-      if (args.threads < 1) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.threads = positive_int();
     } else if (flag == "--shards") {
-      args.shards = std::atoi(value());
-      if (args.shards < 1) {
-        std::fprintf(stderr, "--shards wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.shards = positive_int();
     } else if (flag == "--seeds") {
-      args.seeds = std::atoi(value());
-      if (args.seeds < 1) {
-        std::fprintf(stderr, "--seeds wants a positive integer\n");
-        usage(what, 2);
-      }
+      args.seeds = positive_int();
     } else if (flag == "--duration") {
-      args.duration_s = std::atof(value());
-      if (args.duration_s <= 0.0) {
-        std::fprintf(stderr, "--duration wants positive seconds\n");
+      const char* v = value();
+      const std::optional<double> parsed = parse_whole<double>(v);
+      if (!parsed || !std::isfinite(*parsed) || *parsed <= 0.0) {
+        std::fprintf(stderr, "--duration wants positive seconds, got \"%s\"\n",
+                     v);
         usage(what, 2);
       }
+      args.duration_s = *parsed;
     } else if (flag == "--out-dir") {
       args.out_dir = value();
     } else if (flag == "--only") {
-      const char* v = value();
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 0) {
+      const std::optional<long long> parsed = parse_whole<long long>(value());
+      if (!parsed || *parsed < 0) {
         std::fprintf(stderr, "--only wants a non-negative run index\n");
         usage(what, 2);
       }
-      args.only_run = static_cast<std::size_t>(parsed);
+      args.only_run = static_cast<std::size_t>(*parsed);
     } else if (flag == "--churn") {
       const std::string list = value();
       std::size_t pos = 0;
       while (pos <= list.size()) {
         const std::size_t comma = std::min(list.find(',', pos), list.size());
         const std::string tok = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        const double parsed = std::strtod(tok.c_str(), &end);
-        if (tok.empty() || end != tok.c_str() + tok.size()) {
+        const std::optional<double> parsed = parse_whole<double>(tok.c_str());
+        if (!parsed || !std::isfinite(*parsed)) {
           std::fprintf(stderr, "--churn wants comma-separated numbers\n");
           usage(what, 2);
         }
-        args.churn_rates.push_back(parsed);
+        args.churn_rates.push_back(*parsed);
         pos = comma + 1;
       }
     } else if (flag == "--rate-policies") {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "exp/registry.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -23,37 +24,39 @@ std::string num(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
-RunRecord make_record(const RunSpec& run, const RunOutput& out,
-                      double wall_ms) {
+RunRecord make_record(const RunSpec& run,
+                      const core::AnalysisResult& analysis,
+                      const core::UnrecordedTotals& unrecorded,
+                      const workload::CellResult& result, double wall_ms) {
+  const workload::CellConfig& cell = run.cell;
   RunRecord r;
   r.run_index = run.run_index;
   r.point_index = run.point_index;
-  r.seed = run.seed;
+  r.seed = cell.seed;
   r.scenario = run.scenario;
-  r.rate_policy = run.rate_policy;
-  r.timing = run.timing;
-  r.rtscts_fraction = run.rtscts_fraction;
-  r.power_margin_db = run.power_margin_db;
+  r.rate_policy = cell.rate.policy;
+  r.timing = timing_key(cell.timing);
+  r.rtscts_fraction = cell.rtscts_fraction;
+  r.power_margin_db = cell.auto_power_margin_db;
   r.churn_rate = run.churn_rate;
-  r.users = run.load.users;
-  r.pps = run.load.pps;
-  r.far_fraction = run.load.far_fraction;
-  r.window = run.load.window;
-  r.duration_s = run.cell.duration_s;
+  r.users = cell.num_users;
+  r.pps = cell.per_user_pps;
+  r.far_fraction = cell.far_fraction;
+  r.window = cell.profile.window;
+  r.duration_s = cell.duration_s;
   r.wall_ms = wall_ms;
 
-  const core::AnalysisResult& a = out.analysis;
-  r.seconds = a.seconds.size();
-  r.frames = a.total_frames;
-  r.data = a.total_data;
-  r.acks = a.total_acks;
-  r.rts = a.total_rts;
-  r.cts = a.total_cts;
+  r.seconds = analysis.seconds.size();
+  r.frames = analysis.total_frames;
+  r.data = analysis.total_data;
+  r.acks = analysis.total_acks;
+  r.rts = analysis.total_rts;
+  r.cts = analysis.total_cts;
 
   core::SecondStats totals;
   util::Accumulator util_pct, thr, good;
   std::array<util::Accumulator, phy::kNumRates> busy;
-  for (const core::SecondStats& s : a.seconds) {
+  for (const core::SecondStats& s : analysis.seconds) {
     totals.merge(s);
     util_pct.add(s.utilization());
     thr.add(s.throughput_mbps());
@@ -70,25 +73,26 @@ RunRecord make_record(const RunSpec& run, const RunOutput& out,
     r.busy_s_by_rate[i] = busy[i].mean();
   }
 
-  for (const auto& [addr, st] : a.senders) {
+  for (const auto& [addr, st] : analysis.senders) {
     r.data_tx += st.data_tx;
     r.data_acked += st.data_acked;
   }
 
-  r.collision_pct = out.medium_transmissions
-                        ? 100.0 * static_cast<double>(out.medium_collisions) /
-                              static_cast<double>(out.medium_transmissions)
-                        : 0.0;
-  r.true_miss_pct =
-      out.sniffer_offered
-          ? 100.0 *
-                static_cast<double>(out.sniffer_offered - out.sniffer_captured) /
-                static_cast<double>(out.sniffer_offered)
+  r.collision_pct =
+      result.medium_transmissions
+          ? 100.0 * static_cast<double>(result.medium_collisions) /
+                static_cast<double>(result.medium_transmissions)
           : 0.0;
-  r.est_unrecorded_pct = out.unrecorded.unrecorded_pct();
-  r.est_missed_data = out.unrecorded.missed_data;
-  r.est_missed_rts = out.unrecorded.missed_rts;
-  r.est_missed_cts = out.unrecorded.missed_cts;
+  const sim::SnifferStats& sniffer = result.sniffer;
+  r.true_miss_pct =
+      sniffer.offered
+          ? 100.0 * static_cast<double>(sniffer.offered - sniffer.captured) /
+                static_cast<double>(sniffer.offered)
+          : 0.0;
+  r.est_unrecorded_pct = unrecorded.unrecorded_pct();
+  r.est_missed_data = unrecorded.missed_data;
+  r.est_missed_rts = unrecorded.missed_rts;
+  r.est_missed_cts = unrecorded.missed_cts;
   return r;
 }
 

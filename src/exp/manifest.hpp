@@ -9,7 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "exp/registry.hpp"
+#include "core/analyzer.hpp"
+#include "core/unrecorded.hpp"
 #include "exp/spec.hpp"
 #include "phy/rate.hpp"
 
@@ -79,8 +80,14 @@ struct RunRecord {
   }
 };
 
-/// Fills a record from a completed run (wall_ms is the caller's clock).
-[[nodiscard]] RunRecord make_record(const RunSpec& run, const RunOutput& out,
+/// Fills a record from a completed run: its capture analysis, the §4.4
+/// unrecorded estimate on that capture, and the medium / sniffer ground
+/// truth the scenario reported (zeros for sessions).  wall_ms is the
+/// caller's clock.
+[[nodiscard]] RunRecord make_record(const RunSpec& run,
+                                    const core::AnalysisResult& analysis,
+                                    const core::UnrecordedTotals& unrecorded,
+                                    const workload::CellResult& result,
                                     double wall_ms);
 
 /// Manifest column names; wall_ms is appended only when `with_wall`.

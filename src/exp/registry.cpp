@@ -9,74 +9,43 @@ namespace wlan::exp {
 
 namespace {
 
-/// The reduction every scenario shares: capture analysis, the §4.4
-/// unrecorded estimate on the capture, and the simulator's delay
-/// histograms.  Ground-truth counters stay 0 (sessions report none).
-RunOutput reduce(const trace::Trace& capture,
-                 const util::LogHistogram& queue_delay,
-                 const util::LogHistogram& service_delay) {
-  RunOutput out;
-  out.analysis = core::TraceAnalyzer{}.analyze(capture);
-  out.unrecorded = core::estimate_unrecorded(capture).totals;
-  out.queue_delay = queue_delay;
-  out.service_delay = service_delay;
-  return out;
-}
-
-/// Cell fixtures also report medium and sniffer ground truth.
-RunOutput reduce_cell_result(const workload::CellResult& result) {
-  RunOutput out =
-      reduce(result.trace, result.queue_delay, result.service_delay);
-  out.medium_transmissions = result.medium_transmissions;
-  out.medium_collisions = result.medium_collisions;
-  out.sniffer_offered = result.sniffer.offered;
-  out.sniffer_captured = result.sniffer.captured;
-  return out;
-}
-
-/// Single-cell fixture: the workhorse of the figure sweeps.
-RunOutput run_cell_scenario(const RunSpec& run) {
-  return reduce_cell_result(workload::run_cell(run.cell));
-}
-
-/// Hidden-terminal fixture (see workload::run_hidden_terminal): two user
-/// wings on disjoint carrier-sense masks sharing one AP.
-RunOutput run_hidden_terminal_scenario(const RunSpec& run) {
-  return reduce_cell_result(workload::run_hidden_terminal(run.cell));
-}
-
-/// IETF sessions.  The load axis maps onto the session knobs: `users` is
-/// population scale ×100 (10 users ≙ scale 0.1), `pps` the per-user mean
-/// packet rate, `window` the closed-loop window.  With `churn` true the
-/// session runs the dynamic-population variant (Poisson arrivals, lognormal
-/// dwell, AP roaming, stations torn down on departure): the spec's
-/// churn-rate axis sets the population turnover per minute, and a
-/// non-positive axis value falls back to one full turnover per minute.
-RunOutput run_session_scenario(const RunSpec& run, workload::SessionKind kind,
-                               bool churn = false) {
+/// IETF sessions.  The resolved cell's load maps onto the session knobs:
+/// `num_users` is population scale ×100 (10 users ≙ scale 0.1),
+/// `per_user_pps` the per-user mean packet rate, `profile.window` the
+/// closed-loop window.  With `churn` true the session runs the
+/// dynamic-population variant (Poisson arrivals, lognormal dwell, AP
+/// roaming, stations torn down on departure): the spec's churn-rate axis
+/// sets the population turnover per minute, and a non-positive axis value
+/// falls back to one full turnover per minute.
+workload::CellResult run_session_scenario(const RunSpec& run,
+                                          workload::SessionKind kind,
+                                          bool churn = false) {
+  const workload::CellConfig& cell = run.cell;
   workload::ScenarioConfig cfg;
-  static_cast<sim::EngineOptions&>(cfg) = run.cell;
-  cfg.seed = run.seed;
-  cfg.duration_s = run.cell.duration_s;
-  cfg.scale = run.load.users / 100.0;
-  cfg.profile = run.cell.profile;
-  cfg.profile.mean_pps = run.load.pps;
-  cfg.rtscts_fraction = run.rtscts_fraction;
-  cfg.rate = run.cell.rate;
-  cfg.timing = run.cell.timing;
+  static_cast<sim::EngineOptions&>(cfg) = cell;
+  cfg.seed = cell.seed;
+  cfg.duration_s = cell.duration_s;
+  cfg.scale = cell.num_users / 100.0;
+  cfg.profile = cell.profile;
+  cfg.profile.mean_pps = cell.per_user_pps;
+  cfg.rtscts_fraction = cell.rtscts_fraction;
+  cfg.rate = cell.rate;
+  cfg.timing = cell.timing;
   if (churn) {
     cfg.churn_turnover_per_min = run.churn_rate > 0.0 ? run.churn_rate : 1.0;
   }
-
-  const workload::SessionResult result = workload::run_session(cfg, kind);
-  return reduce(result.trace, result.queue_delay, result.service_delay);
+  return workload::run_session(cfg, kind);
 }
 
 }  // namespace
 
 ScenarioRegistry::ScenarioRegistry() {
-  add("cell", run_cell_scenario);
-  add("hidden-terminal", run_hidden_terminal_scenario);
+  // Single-cell fixture: the workhorse of the figure sweeps.
+  add("cell", [](const RunSpec& run) { return workload::run_cell(run.cell); });
+  // Two user wings on disjoint carrier-sense masks sharing one AP.
+  add("hidden-terminal", [](const RunSpec& run) {
+    return workload::run_hidden_terminal(run.cell);
+  });
   add("ietf-day", [](const RunSpec& run) {
     return run_session_scenario(run, workload::SessionKind::kDay);
   });
@@ -113,8 +82,8 @@ std::vector<std::string> ScenarioRegistry::names() const {
   return out;  // std::map iterates sorted
 }
 
-RunOutput ScenarioRegistry::run(const std::string& name,
-                                const RunSpec& run) const {
+workload::CellResult ScenarioRegistry::run(const std::string& name,
+                                          const RunSpec& run) const {
   const auto it = factories_.find(name);
   if (it == factories_.end()) {
     throw std::invalid_argument("ScenarioRegistry: unknown scenario \"" +

@@ -12,40 +12,23 @@
 // are always safely constructed).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/analyzer.hpp"
-#include "core/unrecorded.hpp"
 #include "exp/spec.hpp"
 #include "mac/timing.hpp"
-#include "util/log_histogram.hpp"
+#include "workload/scenario.hpp"
 
 namespace wlan::exp {
 
-/// What one run hands back for aggregation and the manifest.  The analysis
-/// is capture-derived (the paper's methodology); the remaining fields are
-/// simulator/sniffer ground truth a scenario may report (zeros when it
-/// cannot, e.g. multi-sniffer sessions).
-struct RunOutput {
-  core::AnalysisResult analysis;
-  core::UnrecordedTotals unrecorded;     ///< §4.4 estimate on the capture
-  std::uint64_t medium_transmissions = 0;
-  std::uint64_t medium_collisions = 0;
-  std::uint64_t sniffer_offered = 0;
-  std::uint64_t sniffer_captured = 0;
-  /// Per-frame delay components from the simulator (paper §6): queueing
-  /// wait and head-of-line service time, microseconds.  Empty when a
-  /// scenario does not report them.
-  util::LogHistogram queue_delay;
-  util::LogHistogram service_delay;
-};
-
-using ScenarioFn = std::function<RunOutput(const RunSpec&)>;
+/// A scenario factory runs one resolved grid run and returns what it
+/// produced: the capture plus whatever the simulator reports beside it.
+/// The runner reduces it (analysis, unrecorded estimate, figures,
+/// manifest row).
+using ScenarioFn = std::function<workload::CellResult(const RunSpec&)>;
 
 class ScenarioRegistry {
  public:
@@ -60,7 +43,8 @@ class ScenarioRegistry {
 
   /// Runs one resolved grid run; throws std::invalid_argument on an
   /// unknown scenario name.
-  [[nodiscard]] RunOutput run(const std::string& name, const RunSpec& run) const;
+  [[nodiscard]] workload::CellResult run(const std::string& name,
+                                         const RunSpec& run) const;
 
  private:
   ScenarioRegistry();

@@ -9,8 +9,11 @@
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
+#include "core/analyzer.hpp"
+#include "core/unrecorded.hpp"
 #include "exp/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
@@ -42,7 +45,7 @@ struct Slot {
 /// Trace-span label for one run: "run: <scenario> #<index> seed <seed>".
 std::string span_name(const RunSpec& run) {
   return "run: " + run.scenario + " #" + std::to_string(run.run_index) +
-         " seed " + std::to_string(run.seed);
+         " seed " + std::to_string(run.cell.seed);
 }
 
 }  // namespace
@@ -130,11 +133,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         // the sweep's wall time went, per worker.
         obs::MetricsScope metrics_scope(slot.metrics);
         obs::Span span(span_name(run));
-        const RunOutput out = registry.run(run.scenario, run);
+        // The one reduction every scenario shares: capture analysis and the
+        // §4.4 unrecorded estimate, then the capture is dropped before the
+        // figures and the manifest row are filled.
+        workload::CellResult result = registry.run(run.scenario, run);
+        const core::AnalysisResult analysis =
+            core::TraceAnalyzer{}.analyze(result.trace);
+        const core::UnrecordedTotals unrecorded =
+            core::estimate_unrecorded(result.trace).totals;
+        result.trace = {};
+        result.sniffer_traces = {};
+        result.ground_truth = {};
         wall_ms = ms_since(run_t0);
-        slot.figures.add(out.analysis);
-        slot.figures.add_delays(out.queue_delay, out.service_delay);
-        slot.record = make_record(run, out, wall_ms);
+        slot.figures.add(analysis);
+        slot.figures.add_delays(result.queue_delay, result.service_delay);
+        slot.record = make_record(run, analysis, unrecorded, result, wall_ms);
         WLAN_OBS_ONLY(slot.metrics.add(obs::Id::kRuns, 1);)
       } catch (...) {
         // Never let an exception escape the thread (std::terminate); park
@@ -149,14 +162,16 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
       if (opt.progress && !slot.error) {
         const std::size_t c = completed.fetch_add(1) + 1;
+        const workload::CellConfig& cell = run.cell;
+        const std::string_view timing = timing_key(cell.timing);
         std::lock_guard lock(progress_mu);
         std::fprintf(stderr,
                      "  [%zu/%zu] %s users=%-3d pps=%-4.0f far=%.2f "
-                     "%s/%s seed=%llu -> util %.1f%%, %llu frames (%.0f ms)\n",
-                     c, n, run.scenario.c_str(), run.load.users, run.load.pps,
-                     run.load.far_fraction, run.rate_policy.c_str(),
-                     run.timing.c_str(),
-                     static_cast<unsigned long long>(run.seed),
+                     "%s/%.*s seed=%llu -> util %.1f%%, %llu frames (%.0f ms)\n",
+                     c, n, run.scenario.c_str(), cell.num_users,
+                     cell.per_user_pps, cell.far_fraction,
+                     cell.rate.policy.c_str(), static_cast<int>(timing.size()),
+                     timing.data(), static_cast<unsigned long long>(cell.seed),
                      slot.record.mean_util_pct,
                      static_cast<unsigned long long>(slot.record.frames),
                      wall_ms);
@@ -191,7 +206,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     result.runs.push_back(std::move(slot.record));
     result.metrics.merge(slot.metrics);
     result.run_metrics.push_back({runs[i].run_index, runs[i].point_index,
-                                  runs[i].seed, slot.metrics});
+                                  runs[i].cell.seed, slot.metrics});
     slot.figures = core::FigureAccumulator{};  // release per-run memory early
   }
   for (std::thread& t : pool) t.join();

@@ -49,9 +49,11 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
         "multi-valued churn_rates axis would only duplicate every run "
         "(drop the axis or use a *-churn scenario)");
   }
+  // Counted with the churn scenarios' own `> 0.0` test, so a NaN counts as
+  // the default it falls back to.
   std::size_t non_positive = 0;
   for (double churn : spec.churn_rates) {
-    if (churn <= 0.0) ++non_positive;
+    if (!(churn > 0.0)) ++non_positive;
   }
   if (non_positive > 1) {
     throw std::invalid_argument(
@@ -99,18 +101,12 @@ std::vector<RunSpec> expand(const ExperimentSpec& spec) {
                 run.pair_index =
                     li * static_cast<std::size_t>(spec.seeds_per_point) +
                     static_cast<std::size_t>(s);
-                run.seed = util::mix_seed(spec.base_seed, run.pair_index);
 
                 run.scenario = spec.scenario;
-                run.rate_policy = policy;
-                run.timing = timing;
-                run.rtscts_fraction = rtscts;
-                run.power_margin_db = margin;
                 run.churn_rate = churn;
-                run.load = load;
 
                 run.cell = spec.base;
-                run.cell.seed = run.seed;
+                run.cell.seed = util::mix_seed(spec.base_seed, run.pair_index);
                 run.cell.duration_s = spec.duration_s;
                 run.cell.rtscts_fraction = rtscts;
                 run.cell.rate.policy = policy;

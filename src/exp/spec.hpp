@@ -70,25 +70,22 @@ struct ExperimentSpec {
   workload::CellConfig base;
 };
 
-/// One fully resolved run of the grid.
+/// One fully resolved run of the grid.  Every axis value lives in `cell`
+/// (seed, rate policy, timing, RTS/CTS fraction, power margin, load point);
+/// only the churn rate, which no cell field holds, rides beside it.
 struct RunSpec {
   std::size_t run_index = 0;    ///< dense position in the expansion order
   std::size_t point_index = 0;  ///< grid point (seed axis collapsed)
   int seed_ordinal = 0;         ///< which repeat of the point this is
   /// load_index * seeds_per_point + seed_ordinal: the coordinates the seed
-  /// derives from.  Treatment arms (rtscts/policy/timing/power) at the same
-  /// load and repeat share a pair_index — common random numbers, so
-  /// ablation A/B comparisons are paired.
+  /// (cell.seed = util::mix_seed(base_seed, pair_index)) derives from.
+  /// Treatment arms (rtscts/policy/timing/power) at the same load and
+  /// repeat share a pair_index — common random numbers, so ablation A/B
+  /// comparisons are paired.
   std::size_t pair_index = 0;
-  std::uint64_t seed = 0;       ///< util::mix_seed(base_seed, pair_index)
 
   std::string scenario;
-  std::string rate_policy;
-  std::string timing;
-  double rtscts_fraction = 0.0;
-  double power_margin_db = -1.0;
   double churn_rate = 0.0;  ///< population turnover per minute (churn axis)
-  LoadPoint load;
 
   /// Resolved cell parameters.  The "cell" scenario runs exactly this;
   /// session scenarios map the shared fields onto a ScenarioConfig.

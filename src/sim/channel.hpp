@@ -41,9 +41,8 @@
 //    pass over the link cache's contiguous rx-power rows
 //    (evaluate_receptions_batched).  The scalar per-receiver path is
 //    retained verbatim (evaluate_receptions_scalar) behind a runtime
-//    switch — compile with -DWLAN_SCALAR_RECEPTION to default to it — and
-//    the differential oracle suite pins that both produce byte-identical
-//    traces, ground truth and figures.
+//    switch, and the differential oracle suite pins that both produce
+//    byte-identical traces, ground truth and figures.
 #pragma once
 
 #include <cstdint>
@@ -418,11 +417,7 @@ class Channel {
   /// Delivered-MSDU delay components (always on; see record_data_delay).
   util::LogHistogram queue_delay_us_;
   util::LogHistogram service_delay_us_;
-#ifdef WLAN_SCALAR_RECEPTION
-  bool scalar_reception_ = true;
-#else
   bool scalar_reception_ = false;
-#endif
 };
 
 }  // namespace wlan::sim

@@ -13,6 +13,9 @@ namespace {
 /// log overlapping frames at frame-end, so starts can invert by a few us.
 constexpr std::int64_t kSortSlackUs = 10;
 
+/// Beacon anchors kept per input during offset estimation.
+constexpr std::size_t kMaxAnchors = 8192;
+
 /// Beacon anchor identity: (bssid, 12-bit seq).
 constexpr std::uint32_t anchor_key(const CaptureRecord& r) {
   return (static_cast<std::uint32_t>(r.bssid) << 12) | (r.seq & 0xfffu);
@@ -34,8 +37,7 @@ std::uint64_t dedup_key(const CaptureRecord& r) {
 
 }  // namespace
 
-ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
-                                    std::size_t max_anchors) {
+ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs) {
   ClockOffsets out;
   out.offset_us.assign(inputs.size(), 0);
   out.anchors.assign(inputs.size(), 0);
@@ -52,7 +54,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
   while (inputs[0]->next(r)) {
     if (r.type != mac::FrameType::kBeacon) continue;
     if (!ref.emplace(anchor_key(r), r.time_us).second) break;
-    if (ref.size() >= max_anchors) break;
+    if (ref.size() >= kMaxAnchors) break;
   }
 
   for (std::size_t i = 1; i < inputs.size(); ++i) {
@@ -67,7 +69,7 @@ ClockOffsets estimate_clock_offsets(const std::vector<TraceReader*>& inputs,
       deltas.push_back(r.time_us - it->second);
       // Every reference anchor matched (or the cap hit): no point scanning
       // the rest of a potentially huge capture.
-      if (deltas.size() >= max_anchors || deltas.size() >= ref.size()) break;
+      if (deltas.size() >= kMaxAnchors || deltas.size() >= ref.size()) break;
     }
     out.anchors[i] = deltas.size();
     if (!deltas.empty()) {
@@ -178,7 +180,7 @@ MergeResult merge_sniffer_traces(const std::vector<Trace>& traces,
   for (VectorReader& r : readers) inputs.push_back(&r);
 
   if (options.clock_correction) {
-    result.offsets = estimate_clock_offsets(inputs, options.max_anchors);
+    result.offsets = estimate_clock_offsets(inputs);
     for (TraceReader* in : inputs) in->reset();
   } else {
     result.offsets.offset_us.assign(traces.size(), 0);

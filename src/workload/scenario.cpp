@@ -243,10 +243,8 @@ Scenario Scenario::build(const ScenarioConfig& cfg, SessionKind kind) {
     churn.seed = util::mix_seed(cfg.seed, 0xC4u);
     churn.arrivals_per_s = cfg.churn_turnover_per_min * peak_users / 60.0;
     churn.dwell_mean_s = 60.0 / cfg.churn_turnover_per_min;
-    churn.dwell_sigma = cfg.churn_dwell_sigma;
     churn.roam_check_mean_s = cfg.churn_roam_mean_s;
     churn.move_probability = cfg.churn_move_probability;
-    churn.roam_hysteresis_db = cfg.churn_roam_hysteresis_db;
     churn.profile = cfg.profile;
     churn.rtscts_fraction = cfg.rtscts_fraction;
     churn.rate = cfg.rate;
@@ -284,7 +282,7 @@ std::vector<DataSetInfo> Scenario::table1() {
   };
 }
 
-SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
+CellResult run_session(const ScenarioConfig& config, SessionKind kind) {
   auto scenario = kind == SessionKind::kDay ? Scenario::day(config)
                                             : Scenario::plenary(config);
   {
@@ -296,7 +294,8 @@ SessionResult run_session(const ScenarioConfig& config, SessionKind kind) {
   trace::MergeResult merged =
       trace::merge_sniffer_traces(scenario.network().sniffer_traces());
   obs::count(obs::Id::kTraceRecords, merged.trace.records.size());
-  SessionResult result{scenario.name(), std::move(merged.trace), {}, {}};
+  CellResult result;
+  result.trace = std::move(merged.trace);
   scenario.network().harvest_delays(result.queue_delay, result.service_delay);
   return result;
 }

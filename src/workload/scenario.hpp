@@ -52,12 +52,11 @@ struct ScenarioConfig : sim::EngineOptions {
   /// steady-state population matches the scaled peak), roam between APs,
   /// and are torn down — link ids recycled — when they leave.  Expressed as
   /// population turnover so sweeping it varies churn intensity at constant
-  /// expected load.
+  /// expected load.  Dwell shape and roam hysteresis keep ChurnConfig's
+  /// defaults.
   double churn_turnover_per_min = 0.0;
-  double churn_dwell_sigma = 0.75;
   double churn_roam_mean_s = 20.0;
   double churn_move_probability = 0.5;
-  double churn_roam_hysteresis_db = 6.0;
 };
 
 /// A built session: network + population dynamics + metadata.
@@ -94,22 +93,6 @@ class Scenario {
   std::unique_ptr<ChurnProcess> churn_;
   Microseconds duration_{0};
 };
-
-/// A completed session run, reduced to what the analysis layer consumes.
-struct SessionResult {
-  std::string name;
-  trace::Trace trace;  ///< all sniffer captures, merged and time-sorted
-  /// Per-frame delay components (paper §6): time spent queued behind other
-  /// frames and head-of-line service time (first contention to final ACK /
-  /// drop), microseconds, over every delivered unicast data frame.
-  util::LogHistogram queue_delay;
-  util::LogHistogram service_delay;
-};
-
-/// Builds a day/plenary scenario, runs the full duration, and hands back
-/// the merged capture — the one-call path registries and tools use when
-/// they don't need to poke at the live network.
-SessionResult run_session(const ScenarioConfig& config, SessionKind kind);
 
 /// Single-collision-domain fixture for utilization sweeps (Figures 6-15):
 /// one channel, a couple of APs, `num_users` always-on users.  Sweeping
@@ -158,6 +141,10 @@ struct CellConfig : sim::EngineOptions {
   bool record_ground_truth = false;
 };
 
+/// The result of every scenario run: the sniffer capture the analysis
+/// consumes plus what the simulator can report beside it.  Sessions fill
+/// trace, queue_delay and service_delay only; every other field stays at
+/// its default.
 struct CellResult {
   trace::Trace trace;                        ///< sniffer view, warmup removed
   /// Omniscient log, warmup removed; empty unless
@@ -173,11 +160,18 @@ struct CellResult {
   std::vector<trace::Trace> sniffer_traces;
   trace::ClockOffsets clock_offsets;
   trace::MergeStats merge_stats;
-  /// Per-frame delay components (paper §6): queueing wait and head-of-line
-  /// service time in microseconds (see SessionResult).
+  /// Per-frame delay components (paper §6): time spent queued behind other
+  /// frames and head-of-line service time (first contention to final ACK /
+  /// drop), microseconds, over every delivered unicast data frame.
   util::LogHistogram queue_delay;
   util::LogHistogram service_delay;
 };
+
+/// Builds a day/plenary scenario, runs the full duration, and hands back
+/// the merged capture (all sniffers, time-sorted) and the delay histograms
+/// — the one-call path registries and tools use when they don't need to
+/// poke at the live network.
+CellResult run_session(const ScenarioConfig& config, SessionKind kind);
 
 /// Builds, runs and harvests a cell (self-contained; used by benches/tests).
 CellResult run_cell(const CellConfig& config);

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "exp/manifest.hpp"
+#include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "rate/policy_registry.hpp"
 
@@ -62,14 +63,16 @@ TEST(RegistryTest, EveryRegisteredNameRunsATinyConfig) {
     spec.duration_s = 5.0;
     spec.loads = {{6, 10.0, 0.0, 1}};  // sessions read users as scale x100
     spec.base.warmup_s = 1.0;
-    const auto runs = expand(spec);
-    ASSERT_EQ(runs.size(), 1u);
 
-    const RunOutput out = ScenarioRegistry::instance().run(name, runs[0]);
-    EXPECT_GT(out.analysis.seconds.size(), 0u) << name;
-    EXPECT_GT(out.analysis.total_frames, 0u) << name;
-    EXPECT_EQ(row_digest(manifest_row(make_record(runs[0], out, 0.0), false)),
-              expected.at(name))
+    // Through the runner, so the digest covers its one reduction too.
+    RunnerOptions opt;
+    opt.threads = 1;
+    const ExperimentResult result = run_experiment(spec, opt);
+    ASSERT_EQ(result.runs.size(), 1u);
+    const RunRecord& record = result.runs[0];
+    EXPECT_GT(record.seconds, 0u) << name;
+    EXPECT_GT(record.frames, 0u) << name;
+    EXPECT_EQ(row_digest(manifest_row(record, false)), expected.at(name))
         << name;
   }
 }
@@ -80,7 +83,7 @@ TEST(RegistryTest, UnknownScenarioAndDuplicateRegistrationThrow) {
                std::invalid_argument);
   EXPECT_THROW(
       ScenarioRegistry::instance().add("cell", [](const RunSpec&) {
-        return RunOutput{};
+        return workload::CellResult{};
       }),
       std::invalid_argument);
 }
@@ -95,7 +98,6 @@ TEST(RegistryTest, PolicyKeysRoundTripThroughSpecAndRegistry) {
     spec.rate_policies = {key};
     const auto runs = expand(spec);
     ASSERT_EQ(runs.size(), 1u);
-    EXPECT_EQ(runs[0].rate_policy, key);
     EXPECT_EQ(runs[0].cell.rate.policy, key);
     const auto ctl =
         rate::PolicyRegistry::instance().make(runs[0].cell.rate, 1);

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -201,7 +202,7 @@ TEST(RunnerDeterminismTest, ChurnScenarioIsThreadCountInvariantByteForByte) {
   // numbers): same derived seed, different churn treatment.
   const auto runs = expand(churn_sweep());
   ASSERT_EQ(runs.size(), 8u);
-  EXPECT_EQ(runs[0].seed, runs[2].seed);  // churn 2 vs 6, load 0, repeat 0
+  EXPECT_EQ(runs[0].cell.seed, runs[2].cell.seed);  // churn 2 vs 6, load 0, rep 0
   EXPECT_NE(runs[0].churn_rate, runs[2].churn_rate);
 }
 
@@ -424,6 +425,9 @@ TEST(RunnerDeterminismTest, ChurnAxisFootgunsAreRejectedAtExpansion) {
     EXPECT_NE(msg.find("ietf-day-churn"), std::string::npos) << msg;
     EXPECT_NE(msg.find("churn_rates"), std::string::npos) << msg;
   }
+  // A NaN falls back to the default too (the scenario tests `> 0`).
+  bad_churn.churn_rates = {0.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)expand(bad_churn), std::invalid_argument);
 
   // The legitimate shapes still expand: a single disabled value on a static
   // scenario (the default) and a multi-valued all-positive churn sweep.

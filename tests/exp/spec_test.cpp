@@ -6,6 +6,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "exp/registry.hpp"
 #include "util/rng.hpp"
@@ -46,8 +47,8 @@ TEST(SpecTest, SeedsAreSplitmixOfBaseAndPairIndex) {
   const auto runs = expand(spec);
   std::set<std::uint64_t> distinct_pairs;
   for (const auto& run : runs) {
-    EXPECT_EQ(run.seed, util::mix_seed(spec.base_seed, run.pair_index));
-    distinct_pairs.insert(run.seed);
+    EXPECT_EQ(run.cell.seed, util::mix_seed(spec.base_seed, run.pair_index));
+    distinct_pairs.insert(run.cell.seed);
   }
   // 2 loads x 2 repeats = 4 distinct seeds, shared across treatment arms.
   EXPECT_EQ(distinct_pairs.size(), 4u);
@@ -60,8 +61,9 @@ TEST(SpecTest, TreatmentArmsShareSeedsWithinALoadPoint) {
   const auto runs = expand(small_spec());
   for (const auto& a : runs) {
     for (const auto& b : runs) {
-      if (a.load.users == b.load.users && a.seed_ordinal == b.seed_ordinal) {
-        EXPECT_EQ(a.seed, b.seed);
+      if (a.cell.num_users == b.cell.num_users &&
+          a.seed_ordinal == b.seed_ordinal) {
+        EXPECT_EQ(a.cell.seed, b.cell.seed);
       }
     }
   }
@@ -78,10 +80,12 @@ TEST(SpecTest, SeedOfARunIsAPureFunctionOfItsGridPosition) {
   for (const auto& b : before) {
     bool found = false;
     for (const auto& a : after) {
-      if (a.load.users == b.load.users && a.seed_ordinal == b.seed_ordinal &&
-          a.rate_policy == b.rate_policy && a.timing == b.timing &&
-          a.rtscts_fraction == b.rtscts_fraction) {
-        EXPECT_EQ(a.seed, b.seed);
+      if (a.cell.num_users == b.cell.num_users &&
+          a.seed_ordinal == b.seed_ordinal &&
+          a.cell.rate.policy == b.cell.rate.policy &&
+          a.cell.timing == b.cell.timing &&
+          a.cell.rtscts_fraction == b.cell.rtscts_fraction) {
+        EXPECT_EQ(a.cell.seed, b.cell.seed);
         found = true;
       }
     }
@@ -94,16 +98,29 @@ TEST(SpecTest, AxisValuesResolveIntoTheCell) {
   spec.duration_s = 7.5;
   spec.base.room_m = 55.0;
   for (const auto& run : expand(spec)) {
-    EXPECT_EQ(run.cell.seed, run.seed);
+    // Decode the grid point, innermost axis first: timing, policy, rtscts,
+    // load (the power and churn axes hold one value each here).
+    std::size_t p = run.point_index;
+    const std::string& timing = spec.timings[p % spec.timings.size()];
+    p /= spec.timings.size();
+    const std::string& policy = spec.rate_policies[p % spec.rate_policies.size()];
+    p /= spec.rate_policies.size();
+    const double rtscts =
+        spec.rtscts_fractions[p % spec.rtscts_fractions.size()];
+    p /= spec.rtscts_fractions.size();
+    const LoadPoint& load = spec.loads.at(p);
+
+    EXPECT_EQ(run.cell.seed, util::mix_seed(spec.base_seed, run.pair_index));
     EXPECT_DOUBLE_EQ(run.cell.duration_s, 7.5);
     EXPECT_DOUBLE_EQ(run.cell.room_m, 55.0);  // base carried through
-    EXPECT_EQ(run.cell.rate.policy, run.rate_policy);
-    EXPECT_EQ(run.cell.timing, parse_timing(run.timing));
-    EXPECT_DOUBLE_EQ(run.cell.rtscts_fraction, run.rtscts_fraction);
-    EXPECT_EQ(run.cell.num_users, run.load.users);
-    EXPECT_DOUBLE_EQ(run.cell.per_user_pps, run.load.pps);
-    EXPECT_DOUBLE_EQ(run.cell.far_fraction, run.load.far_fraction);
-    EXPECT_EQ(run.cell.profile.window, run.load.window);
+    EXPECT_EQ(run.cell.rate.policy, policy);
+    EXPECT_EQ(run.cell.timing, parse_timing(timing));
+    EXPECT_DOUBLE_EQ(run.cell.rtscts_fraction, rtscts);
+    EXPECT_DOUBLE_EQ(run.cell.auto_power_margin_db, spec.power_margins[0]);
+    EXPECT_EQ(run.cell.num_users, load.users);
+    EXPECT_DOUBLE_EQ(run.cell.per_user_pps, load.pps);
+    EXPECT_DOUBLE_EQ(run.cell.far_fraction, load.far_fraction);
+    EXPECT_EQ(run.cell.profile.window, load.window);
   }
 }
 

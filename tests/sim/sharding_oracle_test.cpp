@@ -178,7 +178,7 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
 
     cfg.single_queue = true;
     obs::Metrics m_ref;
-    workload::SessionResult ref;
+    workload::CellResult ref;
     {
       obs::MetricsScope scope(m_ref);
       ref = workload::run_session(cfg, kind);
@@ -188,13 +188,12 @@ TEST(ShardingOracle, RoamingSessionsMatchSingleQueueForAnyWorkerCount) {
     for (const int shards : {1, 3}) {
       cfg.shards = shards;
       obs::Metrics m_sharded;
-      workload::SessionResult sharded;
+      workload::CellResult sharded;
       {
         obs::MetricsScope scope(m_sharded);
         sharded = workload::run_session(cfg, kind);
       }
       SCOPED_TRACE("shards " + std::to_string(shards));
-      ASSERT_EQ(ref.name, sharded.name);
       ASSERT_FALSE(ref.trace.records.empty());
 #if WLAN_OBS_ENABLED
       // Vacuous-pass guard: the fixture must actually roam across shards.

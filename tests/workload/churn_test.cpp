@@ -136,7 +136,7 @@ TEST(ChurnScenarioTest, SessionVariantRunsAndRecycles) {
   cfg.churn_turnover_per_min = 4.0;  // brisk: mean dwell 15 s
   cfg.profile.closed_loop = true;
 
-  const SessionResult result = run_session(cfg, SessionKind::kDay);
+  const CellResult result = run_session(cfg, SessionKind::kDay);
   EXPECT_FALSE(result.trace.records.empty());
 
   // And through the Scenario object for the process stats.
