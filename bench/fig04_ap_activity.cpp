@@ -61,21 +61,18 @@ int main() {
                    .c_str(),
                stdout);
 
-    // (c) unrecorded percentage for the top-15 APs.
-    const auto unrec = core::estimate_unrecorded(merged);
-    std::vector<std::string> ulabels;
+    // (c) unrecorded percentage for the top-15 APs, on (a)'s rows.
     std::vector<double> uvalues;
-    for (std::size_t i = 0; i < unrec.per_ap.size() && i < 15; ++i) {
-      ulabels.push_back("AP rank " + std::to_string(i + 1));
-      uvalues.push_back(unrec.per_ap[i].unrecorded_pct());
+    for (std::size_t i = 0; i < aps.size() && i < 15; ++i) {
+      uvalues.push_back(aps[i].unrecorded_pct());
     }
     std::fputs(util::bar_chart("Fig 4c: unrecorded %% for the top-15 APs",
-                               ulabels, uvalues)
+                               labels, uvalues)
                    .c_str(),
                stdout);
     std::printf("Overall unrecorded: %.1f%% "
                 "(paper: 3-15%% day, 5-20%% plenary)\n\n",
-                unrec.totals.unrecorded_pct());
+                core::estimate_unrecorded(merged).totals.unrecorded_pct());
   }
   return 0;
 }

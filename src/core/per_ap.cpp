@@ -1,45 +1,57 @@
 #include "core/per_ap.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "core/unrecorded.hpp"
 
 namespace wlan::core {
 
 namespace {
 
-bool is_data_like(mac::FrameType t) {
-  return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
-         t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
+/// mac::Addr is 16-bit, so per-station lookups — one per record on a
+/// multi-hundred-thousand-record conference capture — index flat tables
+/// over every address instead of hashing.
+constexpr std::size_t kAddrSpace = std::size_t{mac::kBroadcast} + 1;
+
+/// 1 for every address that is the BSSID of a data-like or beacon frame.
+std::vector<std::uint8_t> bssid_table(const trace::Trace& trace) {
+  std::vector<std::uint8_t> is_bssid(kAddrSpace, 0);
+  for (const auto& r : trace.records) {
+    if ((mac::is_data_like(r.type) || r.type == mac::FrameType::kBeacon) &&
+        r.bssid != mac::kNoAddr) {
+      is_bssid[r.bssid] = 1;
+    }
+  }
+  return is_bssid;
 }
 
 }  // namespace
 
 std::vector<ApActivity> ap_activity(const trace::Trace& trace) {
-  std::unordered_map<mac::Addr, ApActivity> acc;
-  // mac::Addr is 16-bit, so the per-station lookups — one per record on a
-  // multi-hundred-thousand-record conference capture — use flat tables
-  // instead of hash maps.  Only sums and last-writer-wins assignments read
-  // them, so the change cannot reorder any output.  (acc stays a hash map
-  // for aggregation only; the output sort below is a total order, so acc's
-  // iteration order never reaches the result.)
-  std::vector<std::uint8_t> is_bssid(std::size_t{mac::kBroadcast} + 1, 0);
-  std::vector<mac::Addr> client_bssid(std::size_t{mac::kBroadcast} + 1,
-                                      mac::kNoAddr);
+  const std::vector<std::uint8_t> is_bssid = bssid_table(trace);
+  std::vector<mac::Addr> client_bssid(kAddrSpace, mac::kNoAddr);
   std::vector<mac::Addr> clients;  // addresses with client_bssid set
 
-  for (const auto& r : trace.records) {
-    if ((is_data_like(r.type) || r.type == mac::FrameType::kBeacon) &&
-        r.bssid != mac::kNoAddr) {
-      is_bssid[r.bssid] = 1;
+  // One row per AP in first-touch order; the sort at the end is a total
+  // order, so that order never reaches the result.
+  constexpr std::uint32_t kNoRow = UINT32_MAX;
+  std::vector<ApActivity> out;
+  std::vector<std::uint32_t> row_of(kAddrSpace, kNoRow);
+  auto row = [&](mac::Addr bssid) -> ApActivity& {
+    if (row_of[bssid] == kNoRow) {
+      row_of[bssid] = static_cast<std::uint32_t>(out.size());
+      out.push_back(ApActivity{.bssid = bssid});
     }
-  }
+    return out[row_of[bssid]];
+  };
 
-  for (const auto& r : trace.records) {
-    if (is_data_like(r.type) || r.type == mac::FrameType::kBeacon) {
-      if (r.bssid == mac::kNoAddr) continue;
-      ApActivity& ap = acc[r.bssid];
-      ap.bssid = r.bssid;
+  // Charges a captured frame to its AP and learns client -> BSSID from it.
+  auto attribute = [&](const trace::CaptureRecord& r) {
+    if (mac::is_data_like(r.type) || r.type == mac::FrameType::kBeacon) {
+      if (r.bssid == mac::kNoAddr) return;
+      ApActivity& ap = row(r.bssid);
       ++ap.frames;
       if (r.type == mac::FrameType::kBeacon) {
         ++ap.beacons;
@@ -54,39 +66,44 @@ std::vector<ApActivity> ap_activity(const trace::Trace& trace) {
         if (client_bssid[r.dst] == mac::kNoAddr) clients.push_back(r.dst);
         client_bssid[r.dst] = r.bssid;
       }
-    } else {
-      // Control frames carry no BSSID: attribute through the addressed
-      // station's known AP.
-      mac::Addr bssid = mac::kNoAddr;
-      if (is_bssid[r.dst]) {
-        bssid = r.dst;
-      } else {
-        bssid = client_bssid[r.dst];
-      }
-      if (bssid == mac::kNoAddr) continue;
-      ApActivity& ap = acc[bssid];
-      ap.bssid = bssid;
-      ++ap.frames;
-      ++ap.control_frames;
+      return;
     }
+    // Control frames carry no BSSID: attribute through the addressed
+    // station's known AP.
+    const mac::Addr bssid = is_bssid[r.dst] ? r.dst : client_bssid[r.dst];
+    if (bssid == mac::kNoAddr) return;
+    ApActivity& ap = row(bssid);
+    ++ap.frames;
+    ++ap.control_frames;
+  };
+
+  AtomicityRules rules;
+  for (const auto& r : trace.records) {
+    attribute(r);
+    // A missed frame belongs to its sender's AP: the sender itself if it is
+    // a BSSID, else the sender's latest BSSID — read after r's own
+    // attribution, since r may be what names it.  Broadcast is nobody's
+    // client.
+    const std::optional<MissedFrame> miss = rules.observe(r);
+    if (!miss) continue;
+    mac::Addr bssid = mac::kNoAddr;
+    if (is_bssid[miss->sender]) {
+      bssid = miss->sender;
+    } else if (miss->sender != mac::kBroadcast) {
+      bssid = client_bssid[miss->sender];
+    }
+    if (bssid != mac::kNoAddr) ++row(bssid).missed;
   }
 
   // Last-association-wins client attribution: client_bssid holds each
   // station's most recent BSSID, so a roaming client counts once, at the AP
   // it ended on, and mid-capture arrivals simply appear when first heard.
   for (const mac::Addr client : clients) {
-    ++acc[client_bssid[client]].clients;
+    ++row(client_bssid[client]).clients;
   }
 
-  std::vector<ApActivity> out;
-  out.reserve(acc.size());
-  // wlan-lint: allow(unordered-iteration) — the composite sort below is a
-  // total order (frames desc, bssid asc), so extraction order is irrelevant
-  for (auto& [addr, ap] : acc) out.push_back(ap);
-  // Frames descending with the BSSID as tiebreak.  The tiebreak is load-
-  // bearing: without it, equal-frame APs (symmetric scenarios tie often)
-  // would keep hash-iteration order — deterministic on one libstdc++ but
-  // not a property of the standard, and not stable across toolchains.
+  // Frames descending with the BSSID as tiebreak, so equal-frame APs
+  // (symmetric scenarios tie often) order the same on every toolchain.
   std::sort(out.begin(), out.end(), [](const ApActivity& a, const ApActivity& b) {
     if (a.frames != b.frames) return a.frames > b.frames;
     return a.bssid < b.bssid;
@@ -99,13 +116,7 @@ std::vector<UserCountPoint> user_count_series(const trace::Trace& trace,
   std::vector<UserCountPoint> out;
   if (trace.records.empty()) return out;
 
-  std::unordered_set<mac::Addr> bssids;
-  for (const auto& r : trace.records) {
-    if ((is_data_like(r.type) || r.type == mac::FrameType::kBeacon) &&
-        r.bssid != mac::kNoAddr) {
-      bssids.insert(r.bssid);
-    }
-  }
+  const std::vector<std::uint8_t> is_bssid = bssid_table(trace);
 
   // station -> last activity time; departure on Disassoc or idle timeout.
   std::unordered_map<mac::Addr, std::int64_t> last_seen;
@@ -139,8 +150,8 @@ std::vector<UserCountPoint> user_count_series(const trace::Trace& trace,
       continue;
     }
     // Any client-originated frame proves presence.
-    if (r.src != mac::kNoAddr && !bssids.count(r.src) &&
-        (is_data_like(r.type) || r.type == mac::FrameType::kRts)) {
+    if (r.src != mac::kNoAddr && !is_bssid[r.src] &&
+        (mac::is_data_like(r.type) || r.type == mac::FrameType::kRts)) {
       last_seen[r.src] = r.time_us;
     }
   }

@@ -3,7 +3,9 @@
 //
 // Association is inferred the way the paper infers it (§5): a client is
 // counted toward the AP whose BSSID its data frames carry, with beacons
-// identifying which senders are APs in the first place.
+// identifying which senders are APs in the first place.  The same
+// attribution charges each unrecorded frame the atomicity rules infer
+// (core/unrecorded.hpp) to its sender's AP, which is Figure 4c.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,14 @@ struct ApActivity {
   /// APs; last-association-wins keeps each client counted exactly once,
   /// at the AP it ended up on.
   std::uint64_t clients = 0;
+  /// Unrecorded frames inferred for this AP's exchanges (Fig. 4c).
+  std::uint64_t missed = 0;
+
+  /// Equation 1 for this AP, with `frames` as its captured count.
+  [[nodiscard]] double unrecorded_pct() const {
+    const double total = static_cast<double>(missed + frames);
+    return total == 0 ? 0.0 : 100.0 * static_cast<double>(missed) / total;
+  }
 };
 
 /// Frames sent/received per virtual AP, sorted descending by total —

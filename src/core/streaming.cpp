@@ -18,11 +18,6 @@ constexpr std::uint32_t pending_key(mac::Addr src, std::uint16_t seq) {
   return (static_cast<std::uint32_t>(src) << 16) | seq;
 }
 
-bool is_data_like(mac::FrameType t) {
-  return t == mac::FrameType::kData || t == mac::FrameType::kAssocReq ||
-         t == mac::FrameType::kAssocResp || t == mac::FrameType::kDisassoc;
-}
-
 }  // namespace
 
 StreamingAnalyzer::StreamingAnalyzer(AnalyzerConfig config, AnalysisSink* sink)
@@ -211,7 +206,7 @@ void StreamingAnalyzer::process(const trace::CaptureRecord& r,
   }
 
   if (r.type != mac::FrameType::kData) {
-    if (is_data_like(r.type)) ++s.mgmt;
+    if (mac::is_data_like(r.type)) ++s.mgmt;
     emit_final_seconds(r.time_us);
     return;
   }

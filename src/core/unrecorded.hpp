@@ -6,14 +6,17 @@
 //   RTS->CTS         : a CTS not preceded by its RTS implies a missed RTS
 //   RTS->CTS->DATA   : an RTS followed by its DATA without a CTS in between
 //                      implies a missed CTS
-// and reports Equation 1, unrecorded / (unrecorded + captured).
+// and reports Equation 1, unrecorded / (unrecorded + captured).  The
+// per-AP breakdown of Figure 4c is `ApActivity::missed` (core/per_ap.hpp),
+// which applies the same rules while it attributes frames to APs.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "mac/frame.hpp"
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace wlan::core {
 
@@ -33,25 +36,37 @@ struct UnrecordedTotals {
   }
 };
 
-/// Per-AP (per-BSSID) attribution of captures and inferred misses.
-struct ApUnrecorded {
-  mac::Addr bssid = mac::kNoAddr;
-  std::uint64_t captured = 0;
-  std::uint64_t missed = 0;
-
-  [[nodiscard]] double unrecorded_pct() const {
-    const double total = static_cast<double>(missed + captured);
-    return total == 0 ? 0.0 : 100.0 * static_cast<double>(missed) / total;
-  }
+/// A frame the atomicity rules prove went unrecorded.
+struct MissedFrame {
+  mac::FrameType type = mac::FrameType::kData;  ///< kData, kRts or kCts
+  mac::Addr sender = mac::kNoAddr;              ///< who transmitted it
 };
 
+/// The three atomicity rules as one step per record of a time-sorted trace.
+class AtomicityRules {
+ public:
+  /// Feeds the next record; returns the frame it proves was missed, if any.
+  std::optional<MissedFrame> observe(const trace::CaptureRecord& r);
+
+ private:
+  struct PendingRts {
+    std::int64_t time_us;
+    mac::Addr dst;
+    bool cts_seen;
+  };
+
+  std::optional<trace::CaptureRecord> prev_;
+  /// Recorded RTSs awaiting their DATA, keyed by the RTS's sender.
+  util::FlatMap<mac::Addr, PendingRts, mac::kBroadcast> pending_rts_;
+};
+
+/// A struct of one member, kept so callers name the result the same way
+/// whether they read one total or several (`.totals.missed_data`).
 struct UnrecordedReport {
   UnrecordedTotals totals;
-  /// Sorted by captured frames, descending (the Fig. 4 AP ranking).
-  std::vector<ApUnrecorded> per_ap;
 };
 
-/// Runs the estimators over a time-sorted trace.
+/// Runs the atomicity rules over a time-sorted trace.
 [[nodiscard]] UnrecordedReport estimate_unrecorded(const trace::Trace& trace);
 
 }  // namespace wlan::core

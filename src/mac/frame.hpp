@@ -44,6 +44,13 @@ enum class FrameType : std::uint8_t {
          t == FrameType::kAssocResp || t == FrameType::kDisassoc;
 }
 
+/// True for data frames and the association exchange: the frames that carry
+/// a BSSID and a sender/receiver pair (beacons carry a BSSID but no pair).
+[[nodiscard]] constexpr bool is_data_like(FrameType t) {
+  return t == FrameType::kData || t == FrameType::kAssocReq ||
+         t == FrameType::kAssocResp || t == FrameType::kDisassoc;
+}
+
 /// On-air MAC sizes (bytes, header+FCS) of control/management frames.
 /// 802.11: ACK/CTS 14, RTS 20; beacons ~90 with typical IEs.
 inline constexpr std::uint32_t kAckBytes = 14;

@@ -92,6 +92,36 @@ TEST(ApActivityTest, RoamingClientCountsOnceAtItsLatestAp) {
   EXPECT_EQ(ap200.clients, 1u);  // client 1 ended here
 }
 
+TEST(ApActivityTest, MissAttributedToApOfSender) {
+  // The orphan ACK is addressed to client 7, whose BSSID is learned from the
+  // initial data frame; the miss lands on AP 100's tally.
+  const auto aps = ap_activity(as_trace({
+      rec(0, mac::FrameType::kData, 7, 100, 100),
+      rec(600, mac::FrameType::kAck, 100, 7),
+      rec(100'000, mac::FrameType::kAck, 100, 7),
+  }));
+  ASSERT_FALSE(aps.empty());
+  EXPECT_EQ(aps[0].bssid, 100);
+  EXPECT_EQ(aps[0].missed, 1u);
+  EXPECT_GT(aps[0].frames, 0u);
+}
+
+TEST(ApActivityTest, PerApRankingByActivity) {
+  std::vector<trace::CaptureRecord> records;
+  // AP 100 carries 10 frames, AP 200 carries 2.
+  for (int i = 0; i < 10; ++i) {
+    records.push_back(rec(i * 10'000, mac::FrameType::kData, 7, 100, 100));
+  }
+  for (int i = 0; i < 2; ++i) {
+    records.push_back(
+        rec(200'000 + i * 10'000, mac::FrameType::kData, 8, 200, 200));
+  }
+  const auto aps = ap_activity(as_trace(std::move(records)));
+  ASSERT_EQ(aps.size(), 2u);
+  EXPECT_EQ(aps[0].bssid, 100);
+  EXPECT_GT(aps[0].frames, aps[1].frames);
+}
+
 TEST(UserCountTest, CountsActiveClients) {
   // Two clients active in the first window, one in the second.
   UserCountConfig cfg;

@@ -102,41 +102,28 @@ TEST(UnrecordedTest, Equation1Percentage) {
   EXPECT_DOUBLE_EQ(report.totals.unrecorded_pct(), 25.0);
 }
 
-TEST(UnrecordedTest, MissAttributedToApOfSender) {
-  // The orphan ACK is addressed to kSta, whose BSSID is learned from the
-  // initial data frame; the miss lands on kAp's tally.
-  const auto report = estimate_unrecorded(as_trace({
-      rec(0, mac::FrameType::kData, kSta, kAp, kAp),
-      rec(600, mac::FrameType::kAck, kAp, kSta),
-      rec(100'000, mac::FrameType::kAck, kAp, kSta),
-  }));
-  ASSERT_FALSE(report.per_ap.empty());
-  EXPECT_EQ(report.per_ap[0].bssid, kAp);
-  EXPECT_EQ(report.per_ap[0].missed, 1u);
-  EXPECT_GT(report.per_ap[0].captured, 0u);
-}
-
-TEST(UnrecordedTest, PerApRankingByActivity) {
-  std::vector<trace::CaptureRecord> records;
-  // AP 100 carries 10 frames, AP 200 carries 2.
-  for (int i = 0; i < 10; ++i) {
-    records.push_back(rec(i * 10'000, mac::FrameType::kData, kSta, 100, 100));
-  }
-  for (int i = 0; i < 2; ++i) {
-    records.push_back(
-        rec(200'000 + i * 10'000, mac::FrameType::kData, 8, 200, 200));
-  }
-  const auto report = estimate_unrecorded(as_trace(std::move(records)));
-  ASSERT_EQ(report.per_ap.size(), 2u);
-  EXPECT_EQ(report.per_ap[0].bssid, 100);
-  EXPECT_GT(report.per_ap[0].captured, report.per_ap[1].captured);
+TEST(UnrecordedTest, RuleStepNamesTheMissedFrameAndItsSender) {
+  AtomicityRules rules;
+  EXPECT_FALSE(rules.observe(rec(0, mac::FrameType::kRts, kSta, kAp)));
+  // DATA after the RTS with no CTS between: the AP's CTS went missing.
+  const auto cts =
+      rules.observe(rec(700, mac::FrameType::kData, kSta, kAp, kAp));
+  ASSERT_TRUE(cts);
+  EXPECT_EQ(cts->type, mac::FrameType::kCts);
+  EXPECT_EQ(cts->sender, kAp);
+  EXPECT_FALSE(rules.observe(rec(1400, mac::FrameType::kAck, kAp, kSta)));
+  // An orphan ACK to kSta: kSta's DATA went missing.
+  const auto data =
+      rules.observe(rec(100'000, mac::FrameType::kAck, kAp, kSta));
+  ASSERT_TRUE(data);
+  EXPECT_EQ(data->type, mac::FrameType::kData);
+  EXPECT_EQ(data->sender, kSta);
 }
 
 TEST(UnrecordedTest, EmptyTraceSafe) {
   const auto report = estimate_unrecorded(trace::Trace{});
   EXPECT_EQ(report.totals.missed(), 0u);
   EXPECT_DOUBLE_EQ(report.totals.unrecorded_pct(), 0.0);
-  EXPECT_TRUE(report.per_ap.empty());
 }
 
 }  // namespace
