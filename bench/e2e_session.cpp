@@ -26,16 +26,20 @@
 //
 //     ./build/bench_e2e_session --out bench/BENCH_e2e_baseline.json
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "core/analyzer.hpp"
 #include "core/report.hpp"
+#include "exp/args.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -180,16 +184,33 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
+    auto number = [&]() {
+      const char* flag = argv[i];
+      const char* v = value();
+      const std::optional<double> parsed = exp::parse_whole<double>(v);
+      if (!parsed || !std::isfinite(*parsed)) {
+        std::fprintf(stderr, "%s wants a number, got \"%s\"\n", flag, v);
+        usage(2);
+      }
+      return *parsed;
+    };
     if (std::strcmp(argv[i], "--help") == 0) usage(0);
     else if (std::strcmp(argv[i], "--out") == 0) out = value();
-    else if (std::strcmp(argv[i], "--threads") == 0) threads = std::atoi(value());
-    else if (std::strcmp(argv[i], "--sweep-duration") == 0)
-      sweep_duration = std::atof(value());
+    else if (std::strcmp(argv[i], "--threads") == 0) {
+      const char* v = value();
+      const std::optional<long long> parsed = exp::parse_whole<long long>(v);
+      if (!parsed || *parsed < INT_MIN || *parsed > INT_MAX) {
+        std::fprintf(stderr, "--threads wants an integer, got \"%s\"\n", v);
+        usage(2);
+      }
+      threads = static_cast<int>(*parsed);
+    } else if (std::strcmp(argv[i], "--sweep-duration") == 0)
+      sweep_duration = number();
     else if (std::strcmp(argv[i], "--plenary-duration") == 0)
-      plenary_duration = std::atof(value());
+      plenary_duration = number();
     else if (std::strcmp(argv[i], "--churn-duration") == 0)
-      churn_duration = std::atof(value());
-    else if (std::strcmp(argv[i], "--scale") == 0) scale = std::atof(value());
+      churn_duration = number();
+    else if (std::strcmp(argv[i], "--scale") == 0) scale = number();
     else usage(2);
   }
 

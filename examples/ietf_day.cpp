@@ -8,14 +8,16 @@
 // sniffer's capture: utilization time series + histogram (Figure 5a/5c),
 // user counts (Figure 4b), per-AP activity (Figure 4a) and unrecorded
 // percentages (Figure 4c).
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "core/analyzer.hpp"
 #include "core/per_ap.hpp"
 #include "core/unrecorded.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "trace/trace_io.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
@@ -25,8 +27,17 @@ int main(int argc, char** argv) {
 
   workload::ScenarioConfig cfg;
   cfg.seed = 62;
-  cfg.duration_s = argc > 1 ? std::atof(argv[1]) : 120.0;
-  cfg.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+  const std::optional<double> duration =
+      argc > 1 ? exp::parse_whole<double>(argv[1]) : 120.0;
+  const std::optional<double> scale =
+      argc > 2 ? exp::parse_whole<double>(argv[2]) : 0.2;
+  if (!duration || !scale || !std::isfinite(*duration) ||
+      !std::isfinite(*scale)) {
+    std::fprintf(stderr, "usage: %s [duration_s] [scale]\n", argv[0]);
+    return 2;
+  }
+  cfg.duration_s = *duration;
+  cfg.scale = *scale;
   // Daytime: parallel sessions, moderate per-user activity (the paper's day
   // channels hovered around 55% utilization).
   cfg.profile.mean_pps *= 3.0;

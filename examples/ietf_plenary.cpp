@@ -6,12 +6,14 @@
 // congregated in one large room, three co-located sniffers (channels 1, 6,
 // 11).  Compared with the day session the sniffers sit close to everyone,
 // so captured utilization is much higher — the paper's Figure 5 contrast.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/analyzer.hpp"
 #include "core/congestion.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
 
@@ -20,8 +22,17 @@ int main(int argc, char** argv) {
 
   workload::ScenarioConfig cfg;
   cfg.seed = 63;
-  cfg.duration_s = argc > 1 ? std::atof(argv[1]) : 120.0;
-  cfg.scale = argc > 2 ? std::atof(argv[2]) : 0.2;
+  const std::optional<double> duration =
+      argc > 1 ? exp::parse_whole<double>(argv[1]) : 120.0;
+  const std::optional<double> scale =
+      argc > 2 ? exp::parse_whole<double>(argv[2]) : 0.2;
+  if (!duration || !scale || !std::isfinite(*duration) ||
+      !std::isfinite(*scale)) {
+    std::fprintf(stderr, "usage: %s [duration_s] [scale]\n", argv[0]);
+    return 2;
+  }
+  cfg.duration_s = *duration;
+  cfg.scale = *scale;
   // Plenary evenings: everyone in one room, laptops busy (the paper's
   // plenary channels sat near 86% utilization).
   cfg.profile.mean_pps *= 6.0;

@@ -6,13 +6,15 @@
 // Walks through the whole public API surface in ~60 lines: build a cell,
 // run it, analyze the sniffer trace, classify congestion, and print the
 // headline metrics.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/analyzer.hpp"
 #include "core/congestion.hpp"
 #include "core/unrecorded.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "workload/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -20,7 +22,13 @@ int main(int argc, char** argv) {
 
   workload::CellConfig cell;
   cell.seed = 42;
-  cell.num_users = argc > 1 ? std::atoi(argv[1]) : 30;
+  const std::optional<long long> users =
+      argc > 1 ? exp::parse_whole<long long>(argv[1]) : 30;
+  if (!users || *users < INT_MIN || *users > INT_MAX) {
+    std::fprintf(stderr, "usage: %s [num_users]\n", argv[0]);
+    return 2;
+  }
+  cell.num_users = static_cast<int>(*users);
   cell.duration_s = 20.0;
 
   std::printf("Simulating one 802.11b channel: %d users, %.0f s...\n",

@@ -9,14 +9,16 @@
 // adaptation (ARF) responds to *collision* losses by lowering the rate,
 // which inflates airtime and collapses goodput; SNR-based selection does
 // not.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include <string>
 
 #include "core/analyzer.hpp"
 #include "core/utilization.hpp"
+#include "exp/args.hpp"
 #include "rate/policy_registry.hpp"
 #include "util/ascii_chart.hpp"
 #include "workload/scenario.hpp"
@@ -24,7 +26,13 @@
 int main(int argc, char** argv) {
   using namespace wlan;
 
-  const int users = argc > 1 ? std::atoi(argv[1]) : 40;
+  const std::optional<long long> parsed_users =
+      argc > 1 ? exp::parse_whole<long long>(argv[1]) : 40;
+  if (!parsed_users || *parsed_users < INT_MIN || *parsed_users > INT_MAX) {
+    std::fprintf(stderr, "usage: %s [num_users]\n", argv[0]);
+    return 2;
+  }
+  const int users = static_cast<int>(*parsed_users);
   const std::vector<std::string> policies = {"arf", "aarf", "snr", "minstrel",
                                              "fixed11"};
 

@@ -6,15 +6,17 @@
 // analysis, and prints the summary.  Demonstrates that the core library is
 // usable on externally produced captures.  Utilization (Eq. 8) is a
 // per-channel quantity: pass --channel to restrict a multi-channel merge.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "core/analyzer.hpp"
 #include "core/per_ap.hpp"
 #include "core/session_report.hpp"
+#include "exp/args.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_io.hpp"
 
@@ -54,7 +56,14 @@ int main(int argc, char** argv) {
   // Optional --channel filter (must run before the analysis).
   for (int i = 2; i + 1 < argc; i += 2) {
     if (!std::strcmp(argv[i], "--channel")) {
-      const int wanted = std::atoi(argv[i + 1]);
+      const std::optional<long long> channel =
+          exp::parse_whole<long long>(argv[i + 1]);
+      if (!channel || *channel < INT_MIN || *channel > INT_MAX) {
+        std::fprintf(stderr, "--channel wants an integer, got \"%s\"\n",
+                     argv[i + 1]);
+        return 2;
+      }
+      const int wanted = static_cast<int>(*channel);
       std::erase_if(capture.records, [wanted](const auto& r) {
         return int{r.channel} != wanted;
       });

@@ -74,20 +74,19 @@ ToolOptions extract_tool_flags(int& argc, char** argv) {
       }
       return argv[++i];
     };
-    // Strict numeric parsing: a typo must be an error, not a silent zero
-    // (the sibling exp::parse_bench_args validates the same way).
-    const auto int_value = [&](long lo, long hi) {
+    // Strict numeric parsing: a typo must be an error, not a silent zero.
+    const auto int_value = [&](long long lo, long long hi) {
       const char* flag = argv[i];
       const char* v = value();
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < lo || parsed > hi) {
-        std::fprintf(stderr, "%s wants an integer in [%ld, %ld], got \"%s\"\n",
+      const std::optional<long long> parsed = exp::parse_whole<long long>(v);
+      if (!parsed || *parsed < lo || *parsed > hi) {
+        std::fprintf(stderr,
+                     "%s wants an integer in [%lld, %lld], got \"%s\"\n",
                      flag, lo, hi, v);
         usage(argv[0]);
         std::exit(2);
       }
-      return parsed;
+      return *parsed;
     };
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage(argv[0], stdout);

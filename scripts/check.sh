@@ -36,6 +36,17 @@ cmake --build build -j
 # on machines without LLVM; the dedicated CI job runs it unconditionally.
 python3 scripts/clang_tidy_check.py --build-dir build --if-available
 
+# Malformed numbers on the command line exit 2 before anything runs (a typo
+# must not silently simulate 0 users).  Starts no simulation.
+echo "smoke: example_quickstart abc exits 2"
+status=0
+./build/example_quickstart abc > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "smoke: FAIL — example_quickstart abc exited $status, expected 2" >&2
+    exit 1
+fi
+echo "smoke: OK (malformed argument rejected)"
+
 echo "smoke: bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4"
 ./build/bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4 \
     --quiet --out-dir build/smoke --trace-out build/smoke/trace.json \

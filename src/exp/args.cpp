@@ -54,9 +54,8 @@ void dump_trace_at_exit() {
   std::exit(code);
 }
 
-/// Parses `v` as one whole number token (long long or double): trailing
-/// junk and out-of-range values (ERANGE) yield nullopt instead of the
-/// silent truncation / undefined overflow of atoi and atof.
+}  // namespace
+
 template <typename T>
 std::optional<T> parse_whole(const char* v) {
   static_assert(std::is_same_v<T, long long> || std::is_same_v<T, double>);
@@ -72,7 +71,8 @@ std::optional<T> parse_whole(const char* v) {
   return parsed;
 }
 
-}  // namespace
+template std::optional<long long> parse_whole<long long>(const char*);
+template std::optional<double> parse_whole<double>(const char*);
 
 BenchArgs parse_bench_args(int argc, char** argv, std::string_view what,
                            bool allow_positionals) {

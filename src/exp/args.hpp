@@ -37,6 +37,14 @@ struct BenchArgs {
   std::vector<std::string> positionals;
 };
 
+/// Parses `v` as one whole number token (`T` is long long or double, the
+/// two types args.cpp instantiates).  An empty token, trailing junk and
+/// out-of-range values (ERANGE) yield nullopt instead of the silent zero or
+/// truncation of atoi and atof.  "nan" and "inf" parse as doubles; callers
+/// that need a finite value check for it.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_whole(const char* v);
+
 /// Parses the shared flags.  Prints usage (with `what` as the first line)
 /// and exits 0 on --help; prints the offending flag and exits 2 on a
 /// malformed or unknown argument.  Drivers that take input files

@@ -29,6 +29,39 @@ TEST(ArgsTest, WellFormedNumbersParse) {
   EXPECT_EQ(*args.only_run, 7u);
 }
 
+TEST(ParseWholeTest, WholeTokensParse) {
+  EXPECT_EQ(parse_whole<long long>("42"), 42);
+  EXPECT_EQ(parse_whole<long long>("-7"), -7);
+  EXPECT_EQ(parse_whole<double>("2.5"), 2.5);
+  EXPECT_EQ(parse_whole<double>("1e3"), 1000.0);
+}
+
+TEST(ParseWholeTest, TrailingJunkIsRejected) {
+  EXPECT_FALSE(parse_whole<long long>("abc"));
+  EXPECT_FALSE(parse_whole<long long>("2x"));
+  EXPECT_FALSE(parse_whole<long long>("1.5"));
+  EXPECT_FALSE(parse_whole<long long>("1e3"));
+  EXPECT_FALSE(parse_whole<double>("4s"));
+  EXPECT_FALSE(parse_whole<double>("0.2 "));
+}
+
+TEST(ParseWholeTest, EmptyTokenIsRejected) {
+  EXPECT_FALSE(parse_whole<long long>(""));
+  EXPECT_FALSE(parse_whole<double>(""));
+}
+
+TEST(ParseWholeTest, OutOfRangeIsRejected) {
+  EXPECT_FALSE(parse_whole<long long>("99999999999999999999"));
+  EXPECT_FALSE(parse_whole<long long>("-99999999999999999999"));
+  EXPECT_FALSE(parse_whole<double>("1e999"));
+}
+
+TEST(ParseWholeTest, NonFiniteIsNoInteger) {
+  EXPECT_FALSE(parse_whole<long long>("nan"));
+  EXPECT_FALSE(parse_whole<long long>("inf"));
+  EXPECT_FALSE(parse_whole<long long>("-inf"));
+}
+
 TEST(ArgsDeathTest, TrailingJunkIsRejected) {
   EXPECT_EXIT((void)parse({"--threads", "2x"}), testing::ExitedWithCode(2),
               "--threads wants a positive integer");

@@ -9,6 +9,7 @@ ctest (tools.wlan_lint, label: unit).
 import io
 import os
 import sys
+import tempfile
 import unittest
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -126,6 +127,37 @@ class LayerDagRule(unittest.TestCase):
         self.assertIn("obs", allowed["workload"])  # via sim
         for layer, deps in wlan_lint.DIRECT_DEPS.items():
             self.assertLessEqual(deps | {layer}, allowed[layer])
+
+
+class UncheckedParseRule(unittest.TestCase):
+    def test_bad_fires_bare_and_qualified_calls(self):
+        code, lines = run_lint("--root", REPO, "--rule", "unchecked-parse",
+                               "--quiet", fixture("unchecked_parse_bad.cpp"))
+        self.assertEqual(code, 1)
+        # atoi, std::atof, std::atol, ::atoll — one finding each
+        self.assertEqual(len(lines), 4, lines)
+        for name, line in zip(("atoi", "atof", "atol", "atoll"), lines):
+            self.assertIn(f"unchecked-parse: {name}()", line)
+
+    def test_good_look_alikes_and_suppressed_pass(self):
+        code, lines = run_lint("--root", REPO, "--rule", "unchecked-parse",
+                               "--quiet", fixture("unchecked_parse_good.cpp"))
+        self.assertEqual(code, 0, lines)
+
+    def test_suppression_is_what_silences_the_good_fixture(self):
+        with open(fixture("unchecked_parse_good.cpp"), encoding="utf-8") as f:
+            text = f.read()
+        self.assertIn("wlan-lint: allow(unchecked-parse)", text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "unsuppressed.cpp")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace("wlan-lint: allow(unchecked-parse)",
+                                     "formerly suppressed"))
+            code, lines = run_lint("--root", tmp, "--rule",
+                                   "unchecked-parse", "--quiet", path)
+        self.assertEqual(code, 1)
+        self.assertEqual(len(lines), 1, lines)
+        self.assertIn("atoi()", lines[0])
 
 
 class SuppressionSyntax(unittest.TestCase):

@@ -24,6 +24,11 @@ dynamically, but only on paths the tests cover.  This tool checks the
                        docs/ARCHITECTURE.md.  The CMake link graph already
                        fails illegal *compiled* edges, but header-only
                        includes compile silently; this closes that gap.
+  unchecked-parse      atoi/atol/atoll/atof, bare or std::-qualified.  They
+                       turn a malformed number into 0 (or truncate it)
+                       without an error, so a typo runs a different
+                       experiment.  Parse whole tokens and reject the rest
+                       (exp::parse_whole).
 
 Suppression syntax (on the flagged line, or in the comment block directly
 above it — the directive covers the rest of its comment block and the first
@@ -71,7 +76,8 @@ DIRECT_DEPS = {
     "exp": {"workload", "core", "obs"},
 }
 
-RULES = ("wall-clock", "unordered-iteration", "rng-seed", "layer-dag")
+RULES = ("wall-clock", "unordered-iteration", "rng-seed", "layer-dag",
+         "unchecked-parse")
 
 EXTS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 
@@ -385,6 +391,28 @@ def check_layer_dag(path, rel, lines):
 
 
 # --------------------------------------------------------------------------
+# Rule: unchecked-parse
+# --------------------------------------------------------------------------
+
+# A bare call, a global ::atoi, or std::atoi — but not a member (x.atoi,
+# p->atoi) or some other namespace's function of the same name.
+ATOX_RE = re.compile(
+    r"(?:(?<![\w:.>])|(?<![\w:])(?:std)?::)(ato(?:ll|l|i|f))\s*\(")
+
+
+def check_unchecked_parse(path, lines):
+    findings = []
+    for idx, line in enumerate(lines, start=1):
+        for m in ATOX_RE.finditer(line):
+            findings.append(Finding(
+                path, idx, "unchecked-parse",
+                f"{m.group(1)}() turns a malformed number into 0 without an "
+                "error — parse the whole token and reject junk "
+                "(exp::parse_whole)"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -415,6 +443,8 @@ def lint_file(path, rel, active_rules):
         checks.append(check_unordered_iteration(path, stripped, code_lines))
     if "rng-seed" in active_rules:
         checks.append(check_rng_seed(path, code_lines))
+    if "unchecked-parse" in active_rules:
+        checks.append(check_unchecked_parse(path, code_lines))
     if "layer-dag" in active_rules:
         # Raw lines: include paths are string literals, which the stripper
         # blanks.  INCLUDE_RE anchors at column 0 so comments can't match.
