@@ -334,7 +334,6 @@ void UserManager::tick() {
       spec.profile = config_.profile;
       spec.use_rtscts = rng_.chance(config_.rtscts_fraction);
       spec.rate = config_.rate;
-      spec.remove_on_depart = config_.remove_on_depart;
       sessions_.push_back(
           std::make_unique<UserSession>(net_, spec, rng_.next()));
     }

@@ -135,11 +135,6 @@ struct UserManagerConfig {
   Microseconds tick{1'000'000};
   /// Position generator for new arrivals.
   std::function<phy::Position(util::Rng&)> placement;
-  /// Propagated to every spawned session's UserSpec::remove_on_depart:
-  /// departures tear the station down for real (link id recycled, memory
-  /// freed) instead of parking the powered-off radio forever.  Off by
-  /// default — the frozen fixed-curve goldens depend on parked radios.
-  bool remove_on_depart = false;
 };
 
 class UserManager {

@@ -148,13 +148,11 @@ TEST(UserManagerTest, PopulationShrinksOnDecline) {
   EXPECT_EQ(manager.spawned(), 6u);  // departures, not deletions
 }
 
-// Both departure modes of the fixed-curve manager, pinned side by side.
-// Parked (default): a population decline powers radios off but every
-// spawned station stays registered with the Network — the frozen
-// fixed-curve goldens depend on that.  Teardown (remove_on_depart): the
-// same decline really removes the departed radios (link ids recycled,
-// objects freed), the behaviour churn sessions have always had.
-TEST(UserManagerTest, RemoveOnDepartControlsRealTeardown) {
+// The fixed-curve manager parks departed radios: a population decline
+// powers them off but every spawned station stays registered with the
+// Network — the frozen fixed-curve goldens depend on that.  (Churn
+// sessions tear departed radios down for real; churn_test covers that.)
+TEST(UserManagerTest, DeparturesParkRadios) {
   const auto curve = [](double t) { return t < 5 ? 6.0 : 2.0; };
   const auto placement = [](util::Rng& rng) {
     return phy::Position{rng.uniform_real(0, 10), rng.uniform_real(0, 10), 0};
@@ -164,8 +162,6 @@ TEST(UserManagerTest, RemoveOnDepartControlsRealTeardown) {
   parked.profile = conference_profile();
   parked.profile.mean_pps = 2.0;
   parked.placement = placement;
-  UserManagerConfig teardown = parked;
-  teardown.remove_on_depart = true;
 
   sim::Network net_parked(small_net(69));
   net_parked.add_ap({5, 5, 0}, 6);
@@ -174,14 +170,6 @@ TEST(UserManagerTest, RemoveOnDepartControlsRealTeardown) {
   EXPECT_EQ(m_parked.live(), 2u);
   EXPECT_EQ(m_parked.spawned(), 6u);
   EXPECT_EQ(net_parked.stations().size(), 6u);  // parked, not removed
-
-  sim::Network net_td(small_net(69));
-  net_td.add_ap({5, 5, 0}, 6);
-  UserManager m_td(net_td, teardown, curve, sec(12));
-  net_td.run_for(sec(8));
-  EXPECT_EQ(m_td.live(), 2u);
-  EXPECT_EQ(m_td.spawned(), 6u);  // sessions survive; only radios go
-  EXPECT_EQ(net_td.stations().size(), 2u);  // departed radios torn down
 }
 
 TEST(UserManagerTest, RtsCtsFractionRoughlyHonoured) {
