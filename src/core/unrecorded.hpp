@@ -60,8 +60,9 @@ class AtomicityRules {
   util::FlatMap<mac::Addr, PendingRts, mac::kBroadcast> pending_rts_;
 };
 
-/// A struct of one member, kept so callers name the result the same way
-/// whether they read one total or several (`.totals.missed_data`).
+/// Only the totals remain.  The wrapper stays because perfbench/harness.cpp,
+/// kept unchanged so benchmark runs compare across commits, names
+/// `core::UnrecordedReport` and reads `.totals`.
 struct UnrecordedReport {
   UnrecordedTotals totals;
 };
