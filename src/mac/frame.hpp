@@ -44,8 +44,8 @@ enum class FrameType : std::uint8_t {
          t == FrameType::kAssocResp || t == FrameType::kDisassoc;
 }
 
-/// True for data frames and the association exchange: the frames that carry
-/// a BSSID and a sender/receiver pair (beacons carry a BSSID but no pair).
+/// True for data frames and the association exchange (AssocReq/Resp,
+/// Disassoc): the frames a client and its AP exchange under one BSSID.
 [[nodiscard]] constexpr bool is_data_like(FrameType t) {
   return t == FrameType::kData || t == FrameType::kAssocReq ||
          t == FrameType::kAssocResp || t == FrameType::kDisassoc;
