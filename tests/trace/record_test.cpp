@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "util/rng.hpp"
+
 namespace wlan::trace {
 namespace {
 
@@ -21,6 +25,88 @@ TEST(SortByTimeTest, SortsAndIsStable) {
   EXPECT_EQ(v[1].frame_id, 3u);  // stable: original relative order kept
   EXPECT_EQ(v[2].frame_id, 4u);
   EXPECT_EQ(v[3].frame_id, 1u);
+}
+
+/// The reference order: std::stable_sort by timestamp.
+std::vector<CaptureRecord> stable_sorted(std::vector<CaptureRecord> v) {
+  std::stable_sort(v.begin(), v.end(),
+                   [](const CaptureRecord& a, const CaptureRecord& b) {
+                     return a.time_us < b.time_us;
+                   });
+  return v;
+}
+
+TEST(SortByTimeTest, KeepsEqualTimesInInputOrder) {
+  // Runs of equal timestamps, each run entered out of time order.
+  std::vector<CaptureRecord> v;
+  std::uint64_t id = 0;
+  for (const std::int64_t t : {50, 20, 50, 10, 20, 50, 10, 30, 20}) {
+    v.push_back(rec(t, ++id, 0));
+  }
+  sort_by_time(v);
+  const std::uint64_t want[] = {4, 7, 2, 5, 9, 8, 1, 3, 6};
+  ASSERT_EQ(v.size(), std::size(want));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(v[i].frame_id, want[i]) << "position " << i;
+  }
+}
+
+TEST(SortByTimeTest, ReversedInputMatchesStableSort) {
+  // Every pair inverted: far past the linear pass's move budget, so this
+  // exercises the stable_sort fallback from a partly sorted prefix.
+  std::vector<CaptureRecord> v;
+  for (int i = 0; i < 5000; ++i) {
+    v.push_back(rec((5000 - i) / 3, static_cast<std::uint64_t>(i), 0));
+  }
+  const auto want = stable_sorted(v);
+  sort_by_time(v);
+  EXPECT_EQ(v, want);
+}
+
+TEST(SortByTimeTest, NearlySortedSnifferLikeInput) {
+  // A sniffer logs at frame end, so a frame that started up to a few us
+  // before its predecessor's start can surface after it.
+  util::Rng rng(17);
+  std::vector<CaptureRecord> v;
+  std::int64_t t = 0;
+  for (int i = 0; i < 20000; ++i) {
+    t += rng.uniform_int(0, 400);
+    const std::int64_t start = rng.chance(0.01) ? t - rng.uniform_int(1, 10) : t;
+    v.push_back(rec(start, static_cast<std::uint64_t>(i), 0));
+  }
+  const auto want = stable_sorted(v);
+  ASSERT_NE(v, want);
+  sort_by_time(v);
+  EXPECT_EQ(v, want);
+}
+
+TEST(SortByTimeTest, AnyInversionDensityMatchesStableSort) {
+  // From a single displaced record up to fully shuffled: both the linear
+  // pass and the fallback it may switch to midway must give the stable order.
+  util::Rng rng(29);
+  for (const double displaced : {0.0, 0.001, 0.05, 0.3, 1.0}) {
+    for (const std::int64_t reach : {2, 50, 100000}) {
+      std::vector<CaptureRecord> v;
+      for (int i = 0; i < 3000; ++i) {
+        std::int64_t t = i / 2;  // pairs of equal times
+        if (rng.chance(displaced)) t -= rng.uniform_int(0, reach);
+        v.push_back(rec(t, static_cast<std::uint64_t>(i), 0));
+      }
+      const auto want = stable_sorted(v);
+      sort_by_time(v);
+      EXPECT_EQ(v, want) << "displaced " << displaced << " reach " << reach;
+    }
+  }
+}
+
+TEST(SortByTimeTest, EmptyAndSingleton) {
+  std::vector<CaptureRecord> v;
+  sort_by_time(v);
+  EXPECT_TRUE(v.empty());
+  v.push_back(rec(5, 1, 0));
+  sort_by_time(v);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].frame_id, 1u);
 }
 
 TEST(TraceTest, DurationSeconds) {
