@@ -59,6 +59,8 @@ trace::Trace Sniffer::trace() const {
   t.records = records_;
   // Records are appended at frame-end events; overlapping frames (capture
   // effect, collisions) can therefore surface with starts out of order.
+  // Those are a handful per capture, which sort_by_time fixes in one
+  // linear pass.
   trace::sort_by_time(t.records);
   if (!t.records.empty()) {
     t.start_us = t.records.front().time_us;

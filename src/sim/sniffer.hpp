@@ -56,9 +56,12 @@ class Sniffer {
   [[nodiscard]] std::uint8_t id() const { return id_; }
   [[nodiscard]] const SnifferStats& stats() const { return stats_; }
 
-  /// The capture as a trace (records are already time-sorted).
+  /// The capture as a time-sorted trace: a copy of records(), sorted by
+  /// trace::sort_by_time (linear here, as records() is nearly sorted).
   [[nodiscard]] trace::Trace trace() const;
 
+  /// The raw capture in logging order.  Records are logged at frame end,
+  /// so frames that overlapped on the air can appear out of start order.
   [[nodiscard]] const std::vector<trace::CaptureRecord>& records() const {
     return records_;
   }

@@ -10,9 +10,10 @@
 //      sniffer and the reference sniffer (input 0) is that sniffer's clock
 //      offset.  We take the median difference, which is robust to anchors
 //      corrupted by sequence-number wrap or capture glitches.
-//   2. k-way merge — a heap over per-input cursors emits records in
-//      corrected-time order (ties broken by input index, so the merge is
-//      deterministic and independent of how captures are listed on disk).
+//   2. k-way merge — each step scans the k input heads (k is the sniffer
+//      count, a handful) and emits the smallest corrected time, ties broken
+//      by input index, so the merge is deterministic and independent of how
+//      captures are listed on disk.
 //   3. Duplicate suppression — two sniffers on the same channel hear the
 //      same frame once each.  A duplicate is a record with the same
 //      (channel, type, src, dst, seq, retry) key within dup_window_us of an
@@ -23,17 +24,17 @@
 // Everything streams: MergingReader pulls from TraceReaders, holds one
 // record per input plus a sliding dedup window, and never materializes a
 // capture — the memory bound is O(inputs + window), independent of size.
+// The window is two flat arrays (an open-addressing key -> last-time table
+// and a FIFO of emits), so steady-state merging allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/reader.hpp"
 #include "trace/record.hpp"
+#include "util/flat_map.hpp"
 
 namespace wlan::trace {
 
@@ -89,33 +90,30 @@ class MergingReader final : public TraceReader {
   void prime();
   void advance(std::size_t input);
 
-  struct HeapEntry {
-    std::int64_t time_us;  ///< corrected
-    std::size_t input;
-    bool operator>(const HeapEntry& o) const {
-      return time_us != o.time_us ? time_us > o.time_us : input > o.input;
-    }
-  };
-
   std::vector<TraceReader*> inputs_;
   std::vector<std::int64_t> offsets_us_;
   MergeOptions options_;
   std::vector<CaptureRecord> head_;      ///< current record per input
+  std::vector<bool> live_;               ///< head_[i] holds a record
   std::vector<std::int64_t> prev_time_;  ///< per-input sortedness guard
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
   bool primed_ = false;
   MergeStats stats_;
 
   // Sliding dedup window: key -> last emitted corrected time, pruned as the
-  // merged timeline advances so memory stays O(window).
-  std::unordered_map<std::uint64_t, std::int64_t> last_emit_;
-  std::deque<std::pair<std::uint64_t, std::int64_t>> emit_order_;
+  // merged timeline advances so memory stays O(window).  Keys use 56 bits,
+  // so the all-ones word is free to mark empty cells.
+  util::FlatMap<std::uint64_t, std::int64_t, ~0ULL> last_emit_;
+  // FIFO of (key, time) in emit order: entries before emit_head_ are
+  // consumed, and the prefix is compacted away once it dominates.
+  std::vector<std::pair<std::uint64_t, std::int64_t>> emit_order_;
+  std::size_t emit_head_ = 0;
 };
 
 /// One-call in-memory convenience: estimates offsets, merges, and returns
-/// the corrected capture.  The merged trace's start_us/end_us are the first
-/// and last surviving records (what a streamed merge of the same captures
-/// observes).  Input traces must be time-sorted.
+/// the corrected capture in one buffer sized for every input record.  The
+/// merged trace's start_us/end_us are the first and last surviving records
+/// (what a streamed merge of the same captures observes).  Input traces
+/// must be time-sorted.
 struct MergeResult {
   Trace trace;
   ClockOffsets offsets;

@@ -6,10 +6,34 @@
 namespace wlan::trace {
 
 void sort_by_time(std::vector<CaptureRecord>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const CaptureRecord& a, const CaptureRecord& b) {
-                     return a.time_us < b.time_us;
-                   });
+  // Stable insertion pass: each record moves back past the strictly later
+  // records before it, so the work is O(n + inversions).  Sniffer captures
+  // invert only where overlapping frames finish out of start order, a
+  // handful per capture.  Past a budget of n moves the input is not nearly
+  // sorted and stable_sort takes over; the prefix sorted so far keeps
+  // equal timestamps in input order, so the result is stable_sort's either
+  // way.
+  const auto begin = records.begin();
+  std::size_t budget = records.size();
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    const std::int64_t t = records[i].time_us;
+    std::size_t j = i;
+    while (j > 0 && records[j - 1].time_us > t) {
+      if (i - j == budget) {
+        std::stable_sort(begin, records.end(),
+                         [](const CaptureRecord& a, const CaptureRecord& b) {
+                           return a.time_us < b.time_us;
+                         });
+        return;
+      }
+      --j;
+    }
+    if (j == i) continue;
+    budget -= i - j;
+    std::rotate(begin + static_cast<std::ptrdiff_t>(j),
+                begin + static_cast<std::ptrdiff_t>(i),
+                begin + static_cast<std::ptrdiff_t>(i) + 1);
+  }
 }
 
 std::vector<std::pair<std::uint8_t, Trace>> split_by_channel(const Trace& t) {

@@ -80,7 +80,9 @@ struct Trace {
   }
 };
 
-/// Stable sort by timestamp (sniffer merge produces near-sorted input).
+/// Stable sort by timestamp.  O(n + inversions) on nearly sorted input
+/// (raw sniffer captures); falls back to std::stable_sort, with the same
+/// result, once the inversions exceed n.
 void sort_by_time(std::vector<CaptureRecord>& records);
 
 /// Builds a CaptureRecord from a frame as heard by a sniffer.
