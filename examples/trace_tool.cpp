@@ -27,16 +27,67 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <capture.{trace,csv,pcap}> [--channel N] "
+               "[--csv out] [--pcap out]\n",
+               argv0);
+  return 2;
+}
+
+struct ToolOptions {
+  std::optional<int> channel;
+  std::optional<std::string> csv_out;
+  std::optional<std::string> pcap_out;
+};
+
+/// Parses the flags after the capture path.  Each flag takes exactly one
+/// value and may appear once; anything else is a usage error, reported
+/// before the capture is read.
+std::optional<ToolOptions> parse_flags(int argc, char** argv) {
+  ToolOptions opt;
+  for (int i = 2; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s wants a value\n", flag.c_str());
+      return std::nullopt;
+    }
+    const char* value = argv[i + 1];
+    const bool repeated = (flag == "--channel" && opt.channel) ||
+                          (flag == "--csv" && opt.csv_out) ||
+                          (flag == "--pcap" && opt.pcap_out);
+    if (repeated) {
+      std::fprintf(stderr, "%s given twice\n", flag.c_str());
+      return std::nullopt;
+    }
+    if (flag == "--csv") {
+      opt.csv_out = value;
+    } else if (flag == "--pcap") {
+      opt.pcap_out = value;
+    } else if (flag == "--channel") {
+      const std::optional<long long> channel =
+          wlan::exp::parse_whole<long long>(value);
+      if (!channel || *channel < INT_MIN || *channel > INT_MAX) {
+        std::fprintf(stderr, "--channel wants an integer, got \"%s\"\n",
+                     value);
+        return std::nullopt;
+      }
+      opt.channel = static_cast<int>(*channel);
+    } else {
+      std::fprintf(stderr, "unknown flag \"%s\"\n", flag.c_str());
+      return std::nullopt;
+    }
+  }
+  return opt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace wlan;
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <capture.{trace,csv,pcap}> [--csv out] [--pcap out]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return usage(argv[0]);
+  const std::optional<ToolOptions> opt = parse_flags(argc, argv);
+  if (!opt) return usage(argv[0]);
 
   const std::string path = argv[1];
   trace::Trace capture;
@@ -53,23 +104,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Optional --channel filter (must run before the analysis).
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--channel")) {
-      const std::optional<long long> channel =
-          exp::parse_whole<long long>(argv[i + 1]);
-      if (!channel || *channel < INT_MIN || *channel > INT_MAX) {
-        std::fprintf(stderr, "--channel wants an integer, got \"%s\"\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      const int wanted = static_cast<int>(*channel);
-      std::erase_if(capture.records, [wanted](const auto& r) {
-        return int{r.channel} != wanted;
-      });
-      std::printf("filtered to channel %d: %zu records remain\n", wanted,
-                  capture.records.size());
-    }
+  // The --channel filter must run before the analysis.
+  if (opt->channel) {
+    const int wanted = *opt->channel;
+    std::erase_if(capture.records, [wanted](const auto& r) {
+      return int{r.channel} != wanted;
+    });
+    std::printf("filtered to channel %d: %zu records remain\n", wanted,
+                capture.records.size());
   }
 
   std::set<int> channels;
@@ -96,14 +138,13 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (!std::strcmp(argv[i], "--csv")) {
-      trace::write_csv(capture, argv[i + 1]);
-      std::printf("wrote %s\n", argv[i + 1]);
-    } else if (!std::strcmp(argv[i], "--pcap")) {
-      trace::write_pcap(capture, argv[i + 1]);
-      std::printf("wrote %s\n", argv[i + 1]);
-    }
+  if (opt->csv_out) {
+    trace::write_csv(capture, *opt->csv_out);
+    std::printf("wrote %s\n", opt->csv_out->c_str());
+  }
+  if (opt->pcap_out) {
+    trace::write_pcap(capture, *opt->pcap_out);
+    std::printf("wrote %s\n", opt->pcap_out->c_str());
   }
   return 0;
 }

@@ -47,6 +47,23 @@ if [ "$status" -ne 2 ]; then
 fi
 echo "smoke: OK (malformed argument rejected)"
 
+# trace_tool checks its flags before it reads the capture, so neither probe
+# needs a capture file: a misspelt flag and a flag missing its value must
+# both exit 2 rather than analyze the whole capture.
+echo "smoke: example_trace_tool rejects bad flags"
+for flags in "--chanel 6" "--channel"; do
+    status=0
+    # shellcheck disable=SC2086 # split the flags into words on purpose
+    ./build/example_trace_tool missing.trace $flags > /dev/null 2>&1 \
+        || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "smoke: FAIL — example_trace_tool missing.trace $flags" \
+             "exited $status, expected 2" >&2
+        exit 1
+    fi
+done
+echo "smoke: OK (bad trace_tool flags rejected)"
+
 echo "smoke: bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4"
 ./build/bench_fig06_throughput_goodput --threads 2 --seeds 1 --duration 4 \
     --quiet --out-dir build/smoke --trace-out build/smoke/trace.json \
