@@ -66,7 +66,7 @@ int main() {
     for (std::size_t i = 0; i < aps.size() && i < 15; ++i) {
       uvalues.push_back(aps[i].unrecorded_pct());
     }
-    std::fputs(util::bar_chart("Fig 4c: unrecorded %% for the top-15 APs",
+    std::fputs(util::bar_chart("Fig 4c: unrecorded % for the top-15 APs",
                                labels, uvalues)
                    .c_str(),
                stdout);
