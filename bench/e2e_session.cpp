@@ -25,6 +25,7 @@
 // Refresh the committed baseline with:
 //
 //     ./build/bench_e2e_session --out bench/BENCH_e2e_baseline.json
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cmath>
@@ -217,21 +218,25 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
 
   // Machine-speed calibration, same pure-ALU loop as micro_perf's BM_RngNext.
-  {
-    Row r;
-    r.name = "BM_RngNext";
-    r.iterations = 1 << 26;
-    // wlan-lint: allow(rng-seed) — calibration stream; fixed by contract
-    // so the normalized baseline comparison is stable across checkouts
-    util::Rng rng(1);
-    std::uint64_t acc = 0;
-    r.t = timed([&] {
-      for (std::int64_t k = 0; k < r.iterations; ++k) acc += rng.next();
-    });
-    // Defeat dead-code elimination; any bit of acc will do.
-    if ((acc & 1) != 0) std::fputs("", stdout);
-    rows.push_back(std::move(r));
-  }
+  // One reading swings by almost 2x on a shared host, enough on its own to
+  // trip perf_guard's normalized e2e gate, so the loop is timed five times
+  // (twice before the first workload row, once after each row) and the
+  // BM_RngNext row reports the median reading.
+  constexpr std::int64_t kCalibrationIterations = 1 << 26;
+  std::vector<Timing> calibration;
+  // wlan-lint: allow(rng-seed) — calibration stream; fixed by contract
+  // so the normalized baseline comparison is stable across checkouts
+  util::Rng rng(1);
+  std::uint64_t acc = 0;
+  const auto calibrate = [&] {
+    calibration.push_back(timed([&] {
+      for (std::int64_t k = 0; k < kCalibrationIterations; ++k) {
+        acc += rng.next();
+      }
+    }));
+  };
+  calibrate();
+  calibrate();
 
   // The frozen fig06/figures sweep on the experiment runner.
   {
@@ -256,6 +261,7 @@ int main(int argc, char** argv) {
                  r.t.wall_ns / 1e9, result.figures.knee_utilization());
     rows.push_back(std::move(r));
   }
+  calibrate();
 
   // One plenary session through the full capture-and-analyze pipeline.
   {
@@ -286,6 +292,7 @@ int main(int argc, char** argv) {
                  r.sim_seconds / (r.t.wall_ns / 1e9));
     rows.push_back(std::move(r));
   }
+  calibrate();
 
   // One day session under heavy churn/roaming: arrivals, dwell-outs, AP
   // hops, station teardown and link-id recycling all on the hot path.
@@ -315,6 +322,25 @@ int main(int argc, char** argv) {
                  r.sim_seconds / (r.t.wall_ns / 1e9));
     rows.push_back(std::move(r));
   }
+  calibrate();
+
+  {
+    // Median reading, wall and CPU each; the row goes first, as before.
+    Row r;
+    r.name = "BM_RngNext";
+    r.iterations = kCalibrationIterations;
+    const auto median = [&](double Timing::*field) {
+      std::vector<double> v;
+      for (const Timing& t : calibration) v.push_back(t.*field);
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    r.t.wall_ns = median(&Timing::wall_ns);
+    r.t.cpu_ns = median(&Timing::cpu_ns);
+    rows.insert(rows.begin(), std::move(r));
+  }
+  // Defeat dead-code elimination of the calibration loop; any bit will do.
+  if ((acc & 1) != 0) std::fputs("", stdout);
 
   write_json(out, rows);
   std::fprintf(stderr, "wrote %s\n", out.c_str());
